@@ -31,8 +31,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .continuation import u0_matrix_A, u0_via_continuation
-from .exact_algebra import Mod, snf
+from .continuation import u0_matrix_A
+from .exact_algebra import Mod, kernel_QmodZ_from_snf, snf
 from .fundamental import (
     critical_group,
     eigen_multiplicity,
@@ -355,15 +355,17 @@ def _cmd_u0_matrix(args):
     doc = _read_document(args)
     S = [int(v) for v in args.interiorize.split(",") if v]
     A = u0_matrix_A(doc.network, S)
-    dec = u0_via_continuation(doc.network, S)
-    diag = snf(A.to_integer()).diagonal if A.is_integer() else None
+    if not A.is_integer():
+        raise ValueError("A is not integral; use unit integer weights")
+    result = snf(A.to_integer())
+    dec = kernel_QmodZ_from_snf(result, A.cols)
+    diag = result.diagonal
     rows = [
         " ".join(_format_scalar(A[i, j]) for j in range(A.cols))
         for i in range(A.rows)
     ]
     lines = ["matrix A:"] + [f"  {r}" for r in rows]
-    if diag is not None:
-        lines.append(f"smith diagonal: {list(diag)}")
+    lines.append(f"smith diagonal: {list(diag)}")
     lines.append(f"kernel over Q/Z: {dec}")
     _emit(
         args,
@@ -373,7 +375,7 @@ def _cmd_u0_matrix(args):
                 [_format_scalar(A[i, j]) for j in range(A.cols)]
                 for i in range(A.rows)
             ],
-            "smith_diagonal": [str(d) for d in diag] if diag else None,
+            "smith_diagonal": [str(d) for d in diag],
             "kernel": _decomposition_json(dec),
         },
     )

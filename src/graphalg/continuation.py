@@ -29,7 +29,7 @@ from .layering import (
     interiorize,
     is_layerable,
     reduce_to_flower,
-    strip_spike_edge,
+    strip_layerable,
 )
 from .network import (
     Network,
@@ -173,9 +173,7 @@ def continuation_plan(N):
     """Plan for continuing harmonic functions on a layerable network
     from the isolated stage of its standard-form filtration."""
     G = N.graph
-    remnant, strip_ops = strip_spike_edge(G)
-    if remnant.edges or set(remnant.vertices) - remnant.boundary:
-        raise ValueError("network graph is not layerable")
+    remnant, strip_ops = strip_layerable(G, "network graph is not layerable")
     steps = []
     for op in reversed(strip_ops):
         # undoing the strip re-adjoins what it removed
@@ -195,9 +193,9 @@ def complementary_plan(N, S):
     G = N.graph
     S = sorted(S)
     Gp = interiorize(G, S)
-    remnant, strip_ops = strip_spike_edge(Gp)
-    if remnant.edges or set(remnant.vertices) - remnant.boundary:
-        raise ValueError("G_{S->boundary} is not layerable")
+    remnant, strip_ops = strip_layerable(
+        Gp, "G_{S->boundary} is not layerable"
+    )
     steps = []
     for op in strip_ops:
         if op.kind == SPIKE:

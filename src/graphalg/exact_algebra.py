@@ -490,8 +490,13 @@ def kernel_QmodZ_torsion(A):
     Requires A to have full column rank over Q; otherwise the kernel has
     a divisible part and this raises :class:`DivisibleKernelError`.
     """
-    result = snf(A)
-    if result.rank < A.cols:
+    return kernel_QmodZ_from_snf(snf(A), A.cols)
+
+
+def kernel_QmodZ_from_snf(result, cols):
+    """``kernel_QmodZ_torsion`` of a matrix with ``cols`` columns, read
+    off its Smith form ``result``."""
+    if result.rank < cols:
         raise DivisibleKernelError("divisible kernel part present")
     return ModuleDecomposition.from_cyclic_orders(
         int(d) for d in result.diagonal if d > 1

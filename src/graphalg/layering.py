@@ -13,6 +13,7 @@ is empty.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,6 +68,10 @@ def _check_applicable(G, op):
 def apply_op(G, op):
     """Apply a layer-stripping move to a graph."""
     _check_applicable(G, op)
+    return _apply(G, op)
+
+
+def _apply(G, op):
     if op.kind == ISOLATED:
         return G.delete_vertex(op.vertex)
     if op.kind == EDGE_DEL:
@@ -94,19 +99,104 @@ def apply_op_network(N, op):
     return Network(G2, w2, d2)
 
 
+def _strip(G, isolated, order_key):
+    """Greedy stripping over degree counters.  Returns (remnant, ops in
+    the order applied).  Each step takes the move that
+    ``find_strippable(...)[0]`` would (or ``min(..., key=order_key)``),
+    skipping isolated-vertex moves unless ``isolated``.
+
+    Candidate moves sit in a heap and are checked when popped.  A move
+    that stops being applicable never becomes applicable again (degrees
+    only fall, the boundary only grows), so stale entries are dropped.
+    """
+    ends = G.edge_dict
+    edges = set(ends)
+    vertices = set(G.vertices)
+    boundary = set(G.boundary)
+    incident = {}  # vertex -> ids of its edges
+    degree = {}  # vertex -> len(star), loops counted twice
+    for e, t, h in G.edges:
+        for x in (t, h):
+            incident.setdefault(x, set()).add(e)
+            degree[x] = degree.get(x, 0) + 1
+    heap = []
+
+    def push(op):
+        rank = op.sort_key()
+        entry = (order_key(op), rank, op) if order_key else (rank, op)
+        heapq.heappush(heap, entry)
+
+    def other(e, x):
+        t, h = ends[e]
+        return h if t == x else t
+
+    def offer(x):
+        """Push the vertex move, if any, at boundary vertex x."""
+        if degree.get(x, 0) == 0:
+            if isolated:
+                push(LayerOp(ISOLATED, vertex=x))
+        elif degree[x] == 1:
+            (e,) = incident[x]
+            y = other(e, x)
+            if y not in boundary:
+                push(LayerOp(SPIKE, vertex=x, edge=e, interior_vertex=y))
+
+    def drop_edge(e):
+        edges.discard(e)
+        for x in ends[e]:
+            degree[x] -= 1
+            incident[x].discard(e)
+
+    for v in sorted(boundary):
+        offer(v)
+    for e, t, h in G.edges:
+        if t in boundary and h in boundary:
+            push(LayerOp(EDGE_DEL, edge=e))
+
+    ops = []
+    while heap:
+        op = heapq.heappop(heap)[-1]
+        if op.kind == ISOLATED:
+            if op.vertex not in boundary or degree.get(op.vertex, 0):
+                continue
+            vertices.discard(op.vertex)
+            boundary.discard(op.vertex)
+        elif op.kind == EDGE_DEL:
+            if op.edge not in edges:
+                continue
+            drop_edge(op.edge)
+            for x in set(ends[op.edge]):
+                offer(x)
+        else:
+            v, u = op.vertex, op.interior_vertex
+            if op.edge not in edges or degree[v] != 1 or u in boundary:
+                continue
+            drop_edge(op.edge)
+            vertices.discard(v)
+            boundary.discard(v)
+            boundary.add(u)
+            for e in incident[u]:
+                if other(e, u) in boundary:
+                    push(LayerOp(EDGE_DEL, edge=e))
+            offer(u)
+        ops.append(op)
+    if not ops:
+        return G, ops
+    remnant = PartialGraph(
+        vertices,
+        boundary,
+        [(e, t, h) for e, t, h in G.edges if e in edges],
+        {v: p for v, p in G.coords if v in vertices},
+    )
+    return remnant, ops
+
+
 def reduce_to_flower(G, order_key=None):
-    """Greedy stripping to the unique flower.  Returns (flower, trace)
-    where trace is the list of (op, graph after the op).  ``order_key``
-    can reorder the candidate moves (used to test confluence)."""
-    trace = []
-    H = G
-    while True:
-        ops = find_strippable(H)
-        if not ops:
-            return H, trace
-        op = min(ops, key=order_key) if order_key else ops[0]
-        H = apply_op(H, op)
-        trace.append((op, H))
+    """Greedy stripping to the unique flower.  Returns (flower, ops)
+    where ops lists the moves in the order they were applied;
+    ``order_key`` can reorder the candidate moves (used to test
+    confluence)."""
+    return _strip(G, True, order_key)
 
 
 def is_layerable(G):
@@ -126,15 +216,16 @@ def strip_spike_edge(G):
     """Strip only spikes and boundary edges (never isolated vertices),
     preserving the boundary count.  Returns (remnant, ops in the order
     they were applied)."""
-    ops = []
-    H = G
-    while True:
-        candidates = [op for op in find_strippable(H) if op.kind != ISOLATED]
-        if not candidates:
-            return H, ops
-        op = candidates[0]
-        H = apply_op(H, op)
-        ops.append(op)
+    return _strip(G, False, None)
+
+
+def strip_layerable(G, message="graph is not layerable"):
+    """``strip_spike_edge`` for a graph that must strip down to isolated
+    boundary vertices; raises ValueError(message) otherwise."""
+    remnant, ops = strip_spike_edge(G)
+    if remnant.edges or set(remnant.vertices) - remnant.boundary:
+        raise ValueError(message)
+    return remnant, ops
 
 
 @dataclass(frozen=True)
@@ -153,14 +244,12 @@ class Filtration:
 def standard_form_filtration(G):
     """Standard-form filtration of a layerable graph; raises ValueError
     if G is not layerable."""
-    remnant, strip_ops = strip_spike_edge(G)
-    if remnant.edges or set(remnant.vertices) - remnant.boundary:
-        raise ValueError("graph is not layerable")
+    remnant, strip_ops = strip_layerable(G)
     # stages, read upward from the remnant
     stages = [G]
     H = G
     for op in strip_ops:
-        H = apply_op(H, op)
+        H = _apply(H, op)
         stages.append(H)
     stages.reverse()
     ext_ops = tuple(reversed(strip_ops))
@@ -183,8 +272,12 @@ def standard_form_filtration(G):
 @dataclass(frozen=True)
 class TraceNode:
     """One node of a reduction trace: the graph, the move taken, and the
-    resulting child nodes.  Leaves carry no move; a leaf is either the
-    empty graph or an irreducible graph."""
+    resulting child nodes.  A strip node's move is the tuple of
+    LayerOps that strips its graph to the flower, its only child; a
+    split node's move is ``"split_disjoint"`` (one child per component)
+    or ``("split_wedge", x)`` (the two wedge summands at x).  Leaves
+    carry no move; a leaf is either the empty graph or an irreducible
+    graph."""
 
     graph: PartialGraph
     move: object
@@ -197,38 +290,71 @@ class ReductionTrace:
 
     def leaves(self):
         out = []
-
-        def walk(node):
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
             if not node.children:
                 out.append(node.graph)
-            for child in node.children:
-                walk(child)
-
-        walk(self.root)
+            stack.extend(reversed(node.children))
         return out
 
     def irreducible_witnesses(self):
         return [g for g in self.leaves() if not g.is_empty()]
 
 
+def _cut_vertices(G):
+    """Cut vertices of a connected graph: one iterative depth-first
+    pass with low points."""
+    adj = {v: set() for v in G.vertices}
+    for _, t, h in G.edges:
+        if t != h:
+            adj[t].add(h)
+            adj[h].add(t)
+    root = G.vertices[0]
+    order, low, cut = {root: 0}, {root: 0}, set()
+    root_children = 0
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        x, it = stack[-1]
+        y = next(it, None)
+        if y is None:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                low[p] = min(low[p], low[x])
+                if p != root and low[x] >= order[p]:
+                    cut.add(p)
+        elif y not in order:
+            order[y] = low[y] = len(order)
+            if x == root:
+                root_children += 1
+            stack.append((y, iter(adj[y])))
+        else:
+            low[x] = min(low[x], order[y])
+    if root_children > 1:
+        cut.add(root)
+    return cut
+
+
 def find_wedge_split(G):
-    """A boundary vertex whose removal disconnects the graph, together
-    with the two induced wedge summands, or None."""
+    """The smallest boundary vertex whose removal disconnects the graph,
+    together with the two induced wedge summands, or None.  The first
+    summand is the component of G - x holding its smallest vertex, with
+    x glued back on."""
     if not G.is_connected() or len(G.vertices) < 3:
         return None
-    for x in sorted(G.boundary):
-        H = G.delete_vertex(x)
-        comps = H.connected_components()
-        if len(comps) < 2:
-            continue
-        side1 = set(comps[0]) | {x}
-        side2 = (set(G.vertices) - set(comps[0]))
-        e1 = [e for e, t, h in G.edges if t in side1 and h in side1]
-        e2 = [e for e, t, h in G.edges if e not in set(e1)]
-        G1 = G.induced(side1, e1, G.boundary & side1)
-        G2 = G.induced(side2, e2, G.boundary & side2)
-        return x, G1, G2
-    return None
+    cuts = _cut_vertices(G) & G.boundary
+    if not cuts:
+        return None
+    x = min(cuts)
+    first = G.delete_vertex(x).connected_components()[0]
+    side1 = set(first) | {x}
+    side2 = set(G.vertices) - first
+    e1 = [e for e, t, h in G.edges if t in side1 and h in side1]
+    e2 = [e for e, t, h in G.edges if not (t in side1 and h in side1)]
+    G1 = G.induced(side1, e1, G.boundary & side1)
+    G2 = G.induced(side2, e2, G.boundary & side2)
+    return x, G1, G2
 
 
 def is_irreducible(G):
@@ -243,35 +369,50 @@ def is_irreducible(G):
     return find_wedge_split(G) is None
 
 
+def _reduction_step(H):
+    """The move taken at H and the graphs it leads to, or (None, ())
+    at a leaf."""
+    if H.is_empty():
+        return None, ()
+    flower, ops = reduce_to_flower(H)
+    if ops:
+        return tuple(ops), (flower,)
+    comps = H.connected_components()
+    if len(comps) > 1:
+        pieces = []
+        for comp in sorted(comps, key=min):
+            edges = [e for e, t, h in H.edges if t in comp]
+            pieces.append(H.induced(comp, edges, H.boundary & comp))
+        return "split_disjoint", tuple(pieces)
+    split = find_wedge_split(H)
+    if split is not None:
+        x, G1, G2 = split
+        return ("split_wedge", x), (G1, G2)
+    return None, ()  # irreducible leaf
+
+
 def is_completely_reducible(G):
     """Decide complete reducibility; returns (verdict, ReductionTrace).
-    Greedy: strip while possible, then split disjoint unions, then split
-    boundary wedge-sums; a stuck nonempty graph is irreducible."""
-
-    def reduce(H):
-        if H.is_empty():
-            return TraceNode(H, None, ())
-        ops = find_strippable(H)
-        if ops:
-            child = reduce(apply_op(H, ops[0]))
-            return TraceNode(H, ops[0], (child,))
-        comps = H.connected_components()
-        if len(comps) > 1:
-            children = []
-            for comp in sorted(comps, key=min):
-                edges = [e for e, t, h in H.edges if t in comp]
-                children.append(
-                    reduce(H.induced(comp, edges, H.boundary & comp))
-                )
-            return TraceNode(H, "split_disjoint", tuple(children))
-        split = find_wedge_split(H)
-        if split is not None:
-            x, G1, G2 = split
-            return TraceNode(H, ("split_wedge", x), (reduce(G1), reduce(G2)))
-        return TraceNode(H, None, ())  # irreducible leaf
-
-    root = reduce(G)
-    trace = ReductionTrace(root)
+    Greedy: strip to the flower, then split disjoint unions, then split
+    boundary wedge-sums; a stuck nonempty graph is irreducible.  The
+    trace is built with an explicit stack, not by recursion."""
+    # ``work`` holds graphs still to expand and, below their children,
+    # (graph, move, child count) entries that assemble a node from the
+    # last finished nodes once its children are done.
+    work = [G]
+    done = []
+    while work:
+        item = work.pop()
+        if isinstance(item, tuple):
+            H, move, k = item
+            children = tuple(done[len(done) - k:])
+            del done[len(done) - k:]
+            done.append(TraceNode(H, move, children))
+            continue
+        move, pieces = _reduction_step(item)
+        work.append((item, move, len(pieces)))
+        work.extend(reversed(pieces))
+    trace = ReductionTrace(done[0])
     return (not trace.irreducible_witnesses(), trace)
 
 

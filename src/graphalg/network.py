@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 from .exact_algebra import (
     ExactMatrix,
@@ -33,8 +35,8 @@ class Network:
     offsets: tuple  # (vertex, scalar) pairs
 
     def __init__(self, graph, weights, offsets=None):
-        for e in graph.edge_ids:
-            if graph.is_loop(e):
+        for e, t, h in graph.edges:
+            if t == h:
                 raise ValueError(f"loops are not allowed in networks (edge {e})")
         wmap = dict(weights)
         if set(wmap) != set(graph.edge_ids):
@@ -43,27 +45,38 @@ class Network:
             if not isinstance(w, (int, Fraction)) or isinstance(w, bool):
                 raise TypeError(f"weight of edge {e} is not an exact scalar")
         dmap = dict(offsets or {})
+        known = set(graph.vertices)
         for v in dmap:
-            if v not in set(graph.vertices):
+            if v not in known:
                 raise ValueError(f"offset on unknown vertex {v}")
         dmap = {v: dmap.get(v, 0) for v in graph.vertices}
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "weights", tuple(sorted(wmap.items())))
         object.__setattr__(self, "offsets", tuple(sorted(dmap.items())))
 
+    @cached_property
+    def _weight(self):
+        return dict(self.weights)
+
+    @cached_property
+    def _offset(self):
+        return dict(self.offsets)
+
     @property
     def wmap(self):
-        return dict(self.weights)
+        """Read-only map eid -> weight."""
+        return MappingProxyType(self._weight)
 
     @property
     def dmap(self):
-        return dict(self.offsets)
+        """Read-only map vertex -> offset."""
+        return MappingProxyType(self._offset)
 
     def weight(self, eid):
-        return self.wmap[eid]
+        return self._weight[eid]
 
     def offset(self, v):
-        return self.dmap[v]
+        return self._offset[v]
 
     def is_normalized(self):
         return all(d == 0 for _, d in self.offsets)

@@ -5,7 +5,9 @@ partitioned into boundary and interior vertices.  Undirected edges are
 stored once (with an id, a tail, and a head); each one stands for the
 pair of oriented edges ``(eid, +1)`` and ``(eid, -1)``, and reversal
 flips the sign.  ``star(x)`` is the set of oriented edges pointed away
-from x, so loops contribute both orientations.
+from x, so loops contribute both orientations.  A graph builds its edge
+map and its stars once, on first use, and hands out read-only views of
+them.
 
 Morphisms may collapse edges to vertices; :func:`validate_morphism`
 checks the local constant-fiber-size condition and returns the local
@@ -14,7 +16,9 @@ degree at every vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 
 def rev(oe):
@@ -54,28 +58,41 @@ class PartialGraph:
     def edge_ids(self):
         return tuple(e for e, _, _ in self.edges)
 
+    @cached_property
+    def _ends(self):
+        return {e: (t, h) for e, t, h in self.edges}
+
     @property
     def edge_dict(self):
-        return {e: (t, h) for e, t, h in self.edges}
+        """Read-only map eid -> (tail, head)."""
+        return MappingProxyType(self._ends)
+
+    @cached_property
+    def _stars(self):
+        stars = {}
+        for e, t, h in self.edges:
+            stars.setdefault(t, []).append((e, 1))
+            stars.setdefault(h, []).append((e, -1))
+        return {x: tuple(star) for x, star in stars.items()}
 
     @property
     def coord_map(self):
         return dict(self.coords)
 
     def tail(self, eid):
-        return self.edge_dict[eid][0]
+        return self._ends[eid][0]
 
     def head(self, eid):
-        return self.edge_dict[eid][1]
+        return self._ends[eid][1]
 
     def o_tail(self, oe):
         eid, s = oe
-        t, h = self.edge_dict[eid]
+        t, h = self._ends[eid]
         return t if s > 0 else h
 
     def o_head(self, oe):
         eid, s = oe
-        t, h = self.edge_dict[eid]
+        t, h = self._ends[eid]
         return h if s > 0 else t
 
     def oriented_edges(self):
@@ -87,13 +104,7 @@ class PartialGraph:
 
     def star(self, x):
         """Oriented edges with tail x, in deterministic order."""
-        out = []
-        for e, t, h in self.edges:
-            if t == x:
-                out.append((e, 1))
-            if h == x:
-                out.append((e, -1))
-        return tuple(out)
+        return self._stars.get(x, ())
 
     def degree(self, x):
         return len(self.star(x))
@@ -102,7 +113,7 @@ class PartialGraph:
         return sorted({self.o_head(oe) for oe in self.star(x)})
 
     def is_loop(self, eid):
-        t, h = self.edge_dict[eid]
+        t, h = self._ends[eid]
         return t == h
 
     def is_empty(self):

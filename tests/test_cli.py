@@ -159,6 +159,34 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "smith diagonal" in out
 
+    def test_u0_matrix_empty_interiorize_json(self, tmp_path, capsys):
+        assert main(["family", "complete-bipartite", "2", "1"]) == 0
+        p = tmp_path / "k21.doc"
+        p.write_text(capsys.readouterr().out)
+        assert main(["u0-matrix", "--interiorize", "", "--json", str(p)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["smith_diagonal"] == []
+        assert payload["kernel"] == {"free_rank": 0, "invariant_factors": []}
+
+    def test_reduce_large_grid(self, tmp_path, capsys):
+        # 26 x 26 grid, perimeter as boundary: over a thousand strip moves
+        n = 26
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        lines = [
+            f"vertex {i * n + j} "
+            + ("boundary" if {i, j} & {0, n - 1} else "interior")
+            for i, j in cells
+        ]
+        pairs = [(i * n + j, i * n + j + 1) for i, j in cells if j + 1 < n]
+        pairs += [(i * n + j, i * n + j + n) for i, j in cells if i + 1 < n]
+        lines += [f"edge {e} {t} {h}" for e, (t, h) in enumerate(pairs)]
+        p = tmp_path / "grid.doc"
+        p.write_text("\n".join(lines) + "\n")
+        assert main(["reduce", "--json", str(p)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["completely_reducible"] is True
+        assert payload["irreducible_pieces"] == []
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.doc"
         p.write_text("vertex 0 bogus\n")

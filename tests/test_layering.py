@@ -4,6 +4,8 @@ degenerate-weight constructions."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphalg.families import complete_bipartite_bi, complete_graph, cycle
 from graphalg.layering import (
@@ -159,6 +161,16 @@ class TestReducibility:
         assert ok
         assert not trace.irreducible_witnesses()
 
+    def test_long_path_does_not_recurse_per_move(self):
+        G = path(1100, boundary={0})
+        ok, trace = is_completely_reducible(G)
+        assert ok
+        # one strip node holds all 1099 spikes and the last isolated
+        # vertex; its child is the empty flower
+        assert len(trace.root.move) == 1100
+        (child,) = trace.root.children
+        assert child.graph.is_empty() and not child.children
+
 
 class TestDegenerateWeights:
     def test_general_construction_on_interior_cycle(self):
@@ -183,3 +195,103 @@ class TestDegenerateWeights:
     def test_normalized_rejects_reducible(self):
         with pytest.raises(ValueError):
             degenerate_weights_normalized(path(3, boundary={0}))
+
+
+# -- the worklist strip against a naive reference ----------------------
+
+
+def naive_strip(G, isolated=True, order_key=None):
+    """Reference: repeated find_strippable plus apply_op."""
+    ops = []
+    while True:
+        moves = [
+            op for op in find_strippable(G) if isolated or op.kind != ISOLATED
+        ]
+        if not moves:
+            return G, ops
+        op = min(moves, key=order_key) if order_key else moves[0]
+        G = apply_op(G, op)
+        ops.append(op)
+
+
+@st.composite
+def multigraphs(draw):
+    """Parallel edges and loops (boundary loops included) allowed."""
+    nv = draw(st.integers(1, 9))
+    vertex = st.integers(0, nv - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=16))
+    boundary = draw(st.sets(vertex))
+    return PartialGraph(range(nv), boundary, dict(enumerate(pairs)))
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """A random spanning tree plus a few extra edges, loops allowed."""
+    nv = draw(st.integers(3, 10))
+    vertex = st.integers(0, nv - 1)
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=5))
+    boundary = draw(st.sets(vertex))
+    return PartialGraph(range(nv), boundary, dict(enumerate(pairs)))
+
+
+def naive_wedge_split(G):
+    """Reference: delete each boundary vertex in turn and rescan."""
+    if not G.is_connected() or len(G.vertices) < 3:
+        return None
+    for x in sorted(G.boundary):
+        comps = G.delete_vertex(x).connected_components()
+        if len(comps) > 1:
+            side1 = set(comps[0]) | {x}
+            e1 = [e for e, t, h in G.edges if t in side1 and h in side1]
+            e2 = [e for e, _, _ in G.edges if e not in e1]
+            side2 = set(G.vertices) - comps[0]
+            return (
+                x,
+                G.induced(side1, e1, G.boundary & side1),
+                G.induced(side2, e2, G.boundary & side2),
+            )
+    return None
+
+
+def shuffled(salt):
+    return lambda op: hash((salt, op.sort_key())) % 101
+
+
+class TestWorklistAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs(), st.none() | st.integers(0, 10**6))
+    def test_reduce_to_flower(self, G, salt):
+        key = None if salt is None else shuffled(salt)
+        assert reduce_to_flower(G, order_key=key) == naive_strip(G, True, key)
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs())
+    def test_strip_spike_edge(self, G):
+        assert strip_spike_edge(G) == naive_strip(G, isolated=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(connected_multigraphs())
+    def test_find_wedge_split(self, G):
+        assert find_wedge_split(G) == naive_wedge_split(G)
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs())
+    def test_filtration_replays(self, G):
+        try:
+            filt = standard_form_filtration(G)
+        except ValueError:
+            remnant, _ = naive_strip(G, isolated=False)
+            assert remnant.edges or set(remnant.vertices) - remnant.boundary
+            return
+        # undo the extensions from the top: each is a strip move
+        H = G
+        for stage, op in zip(reversed(filt.stages[:-1]), reversed(filt.ops)):
+            H = apply_op(H, op)
+            assert H == stage
+        label = sorted(filt.stages[0].vertices)
+        assert filt.labellings[0] == tuple(label)
+        for op, labelling in zip(filt.ops, filt.labellings[1:]):
+            if op.kind == SPIKE:
+                label[label.index(op.interior_vertex)] = op.vertex
+            assert labelling == tuple(label)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from graphalg.network import Network
 from graphalg.partial_graph import (
     EDGE,
     DGraphMorphism,
@@ -51,6 +52,18 @@ class TestPartialGraph:
         assert G.o_tail((1, 1)) == 1 and G.o_head((1, 1)) == 2
         assert G.o_tail((1, -1)) == 2 and G.o_head((1, -1)) == 1
         assert rev((1, 1)) == (1, -1)
+
+    def test_cached_lookups_are_read_only(self):
+        G = triangle()
+        assert G.star(0) == G.star(0) and G.edge_dict[1] == (1, 2)
+        with pytest.raises(TypeError):
+            G.edge_dict[1] = (0, 0)
+        N = Network.standard(G)
+        with pytest.raises(TypeError):
+            N.wmap[0] = 5
+        with pytest.raises(TypeError):
+            N.dmap[0] = 5
+        assert G.edge_dict[1] == (1, 2) and N.weight(0) == 1
 
     def test_multigraph_edges_kept_separately(self):
         G = PartialGraph(range(2), (), {0: (0, 1), 1: (0, 1)})
