@@ -19,6 +19,7 @@ from .exact_algebra import (
     kernel_QmodZ_torsion,
     kernel_mod_n,
     rank_over_Q,
+    smith_diagonal,
     snf,
 )
 from .partial_graph import (

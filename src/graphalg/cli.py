@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .continuation import u0_matrix_A
-from .exact_algebra import Mod, kernel_QmodZ_from_snf, snf
+from .exact_algebra import Mod, kernel_QmodZ_from_snf, smith_diagonal
 from .fundamental import (
     critical_group,
     eigen_multiplicity,
@@ -357,9 +357,8 @@ def _cmd_u0_matrix(args):
     A = u0_matrix_A(doc.network, S)
     if not A.is_integer():
         raise ValueError("A is not integral; use unit integer weights")
-    result = snf(A.to_integer())
-    dec = kernel_QmodZ_from_snf(result, A.cols)
-    diag = result.diagonal
+    diag, rank = smith_diagonal(A.to_integer())
+    dec = kernel_QmodZ_from_snf(diag, rank, A.cols)
     rows = [
         " ".join(_format_scalar(A[i, j]) for j in range(A.cols))
         for i in range(A.rows)

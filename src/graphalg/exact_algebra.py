@@ -2,9 +2,12 @@
 
 Everything here is pure integer/rational arithmetic (``int`` and
 ``fractions.Fraction``); no floating point is used anywhere.  The main
-entry points are Smith normal form (:func:`snf`), cokernel and kernel
-decompositions of integer matrices, exact rank, and characteristic
-polynomials.
+entry points are the Smith normal form diagonal (:func:`smith_diagonal`,
+computed modulo a nonzero minor so that entries stay bounded), cokernel
+and kernel decompositions of integer matrices, exact rank and
+determinant (one integer Bareiss elimination), and characteristic
+polynomials.  :func:`snf` adds the unimodular transforms U and V as a
+certificate for small inputs.
 
 Finitely generated abelian groups are described by
 :class:`ModuleDecomposition`: a free rank plus a divisibility chain of
@@ -290,36 +293,9 @@ class ModuleDecomposition:
             o = abs(int(o))
             if o == 0:
                 free_rank += 1
-            elif o > 1:
+            else:
                 finite.append(o)
-        # Collect prime powers, then rebuild the chain from the largest
-        # power of each prime downwards.
-        powers = {}
-        for o in finite:
-            n, p = o, 2
-            while p * p <= n:
-                if n % p == 0:
-                    k = 0
-                    while n % p == 0:
-                        n //= p
-                        k += 1
-                    powers.setdefault(p, []).append(p**k)
-                p += 1
-            if n > 1:
-                # leftover prime factor (appears to the first power)
-                powers.setdefault(n, []).append(n)
-        for lst in powers.values():
-            lst.sort(reverse=True)
-        depth = max((len(v) for v in powers.values()), default=0)
-        chain = []
-        for i in range(depth):
-            f = 1
-            for lst in powers.values():
-                if i < len(lst):
-                    f *= lst[i]
-            chain.append(f)
-        chain.reverse()
-        return ModuleDecomposition(free_rank, tuple(chain))
+        return ModuleDecomposition(free_rank, tuple(_invariant_chain(finite)))
 
     @property
     def torsion_order(self):
@@ -365,11 +341,13 @@ def _require_integer(A):
 
 
 def snf(A):
-    """Smith normal form of an integer matrix.
+    """Smith normal form of an integer matrix with its certificate.
 
-    Returns :class:`SnfResult` with U*A*V = S exactly.  Pivoting picks
-    the minimal-absolute-value nonzero entry of the working submatrix to
-    keep intermediate entries small.
+    Returns :class:`SnfResult` with U*A*V = S exactly.  This is the
+    certificate and test oracle for small inputs: its working entries
+    are not bounded and can grow exponentially.  Production code routes
+    through :func:`smith_diagonal`, which returns the same diagonal and
+    rank without U and V.
     """
     M = _require_integer(A)
     m, n = A.rows, A.cols
@@ -460,23 +438,205 @@ def snf(A):
     return SnfResult(ExactMatrix(U), ExactMatrix(M), ExactMatrix(V), rank)
 
 
+def _invariant_chain(orders):
+    """Invariant factors (each > 1 and dividing the next) of the direct
+    sum of Z/o over the positive integers ``orders``.
+
+    Replaces pairs by (gcd, lcm), which keeps the group since
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b); no factoring is needed.
+    """
+    fs = sorted(o for o in orders if o > 1)
+    for i in range(len(fs)):
+        a = fs[i]
+        for j in range(i + 1, len(fs)):
+            b = fs[j]
+            if b % a:
+                g = gcd(a, b)
+                fs[j] = a // g * b
+                a = g
+        fs[i] = a
+    return [f for f in fs if f > 1]
+
+
+def _xgcd(a, b):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+def _bareiss(rows):
+    """Fraction-free elimination of a list of int rows (consumed).
+
+    Returns ``(rank, sign, pivot)``: the rank r, the sign of the row
+    permutation used, and the last pivot, which is the determinant of
+    a nonsingular r x r minor of the row-permuted matrix (1 when r = 0).
+    Every working entry is such a minor, so entries stay bounded by
+    Hadamard's bound.
+    """
+    rank, sign, prev = 0, 1, 1
+    while rows and rows[0]:
+        k = next((i for i, r in enumerate(rows) if r[0]), None)
+        if k is None:
+            rows = [r[1:] for r in rows]
+            continue
+        if k:
+            rows[0], rows[k] = rows[k], rows[0]
+            sign = -sign
+        top = rows[0]
+        p = top[0]
+        top = top[1:]
+        rest = []
+        for r in rows[1:]:
+            a = r[0]
+            if a:
+                rest.append(
+                    [(p * x - a * y) // prev for x, y in zip(r[1:], top)]
+                )
+            elif p == prev:
+                rest.append(r[1:])
+            else:
+                rest.append([p * x // prev for x in r[1:]])
+        rows = rest
+        prev = p
+        rank += 1
+    return rank, sign, prev
+
+
+def _integer_rows(data):
+    """Int/Fraction rows as int lists, each cleared of denominators by
+    the lcm of its own, and the product of those row multipliers."""
+    rows, scale = [], 1
+    for row in data:
+        den = 1
+        for x in row:
+            d = x.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    return rows, scale
+
+
+def smith_diagonal(A):
+    """Smith normal form diagonal and rank of an integer matrix:
+    ``(diagonal, rank)`` with ``diagonal = (d1, ..., dr, 0, ...)`` of
+    length min(rows, cols) and d1 | d2 | ... | dr.
+
+    This is the production Smith route.  D = |last Bareiss pivot| is a
+    nonzero r x r minor, hence a multiple of d1 * ... * dr.  The columns
+    of [A | D*I] span a lattice with invariants gcd(di, D) = di (and D
+    for the rows past r), so elimination may reduce every entry to a
+    symmetric residue mod D: no working entry ever exceeds D/2 in
+    absolute value (Kannan-Bachem 1979, Domich-Kannan-Trotter 1987).
+    Only the diagonal is computed; :func:`snf` gives U and V.
+    """
+    M = _require_integer(A)
+    m, n = A.rows, A.cols
+    size = min(m, n)
+    rank, _, pivot = _bareiss([row[:] for row in M])
+    D = abs(pivot)
+    h = (D - 1) // 2
+    lo, hi = -h, D - 1 - h
+
+    def combine(a, x, b, y):
+        # a*x + b*y for rows x, y, in symmetric residues (-D/2, D/2]
+        return [
+            v if lo <= (v := a * s + b * t) <= hi else (v + h) % D - h
+            for s, t in zip(x, y)
+        ]
+
+    rows = [combine(1, row, 0, row) for row in M]
+    diagonal = []
+    while True:
+        rows = [r for r in rows if any(r)]
+        if not rows:
+            break
+        # pivot of least absolute value; a unit cannot be beaten
+        unit = next(
+            ((i, r.index(u)) for i, r in enumerate(rows) for u in (1, -1) if u in r),
+            None,
+        )
+        if unit is None:
+            _, i, j = min(
+                (abs(x), i, j)
+                for i, r in enumerate(rows)
+                for j, x in enumerate(r)
+                if x
+            )
+        else:
+            i, j = unit
+        rows[0], rows[i] = rows[i], rows[0]
+        if j:
+            for r in rows:
+                r[0], r[j] = r[j], r[0]
+        p = rows[0][0]
+        while True:
+            # clear column 0 by row operations
+            top = rows[0]
+            for i in range(1, len(rows)):
+                r = rows[i]
+                a = r[0]
+                if not a:
+                    continue
+                if a % p == 0:
+                    rows[i] = combine(1, r, -(a // p), top)
+                    continue
+                g, s, t = _xgcd(p, a)
+                rows[i] = combine(a // g, top, -(p // g), r)
+                rows[0] = top = combine(s, top, t, r)
+                p = g
+            # row 0 needs column operations only where p does not
+            # divide; each one shrinks p to a proper divisor
+            clean = True
+            for j in range(1, len(top)):
+                b = rows[0][j]
+                if b % p == 0:
+                    continue
+                clean = False
+                g, s, t = _xgcd(p, b)
+                b, p = b // g, p // g
+                for r in rows:
+                    x, y = r[0], r[j]
+                    v = s * x + t * y
+                    r[0] = v if lo <= v <= hi else (v + h) % D - h
+                    v = b * x - p * y
+                    r[j] = v if lo <= v <= hi else (v + h) % D - h
+                p = g
+            if clean:
+                break
+        diagonal.append(p)
+        rows = [r[1:] for r in rows[1:]]
+    # invariants of [A | D*I]: the chain of the pivots' gcds with D,
+    # then D once for every row left without a pivot
+    chain = _invariant_chain(gcd(p, D) for p in diagonal)
+    full = [1] * (len(diagonal) - len(chain)) + chain
+    full += [D] * (m - len(diagonal))
+    return tuple(full[:rank]) + (0,) * (size - rank), rank
+
+
 def cokernel(A):
     """Decomposition of Z^rows / (column space of A)."""
-    result = snf(A)
-    factors = [d for d in result.diagonal if d > 1]
-    return ModuleDecomposition(A.rows - result.rank, tuple(factors))
+    diagonal, rank = smith_diagonal(A)
+    factors = [d for d in diagonal if d > 1]
+    return ModuleDecomposition(A.rows - rank, tuple(factors))
 
 
 def kernel_mod_n(A, n):
     """Decomposition of {x in (Z/n)^cols : A x = 0 mod n}."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    result = snf(A)
+    diagonal, _ = smith_diagonal(A)
     orders = []
-    diag = result.diagonal
     for j in range(A.cols):
-        d = diag[j] if j < len(diag) else 0
-        orders.append(n if d == 0 else gcd(int(d), n))
+        d = diagonal[j] if j < len(diagonal) else 0
+        orders.append(n if d == 0 else gcd(d, n))
     return ModuleDecomposition.from_cyclic_orders(orders)
 
 
@@ -490,78 +650,38 @@ def kernel_QmodZ_torsion(A):
     Requires A to have full column rank over Q; otherwise the kernel has
     a divisible part and this raises :class:`DivisibleKernelError`.
     """
-    return kernel_QmodZ_from_snf(snf(A), A.cols)
+    return kernel_QmodZ_from_snf(*smith_diagonal(A), A.cols)
 
 
-def kernel_QmodZ_from_snf(result, cols):
+def kernel_QmodZ_from_snf(diagonal, rank, cols):
     """``kernel_QmodZ_torsion`` of a matrix with ``cols`` columns, read
-    off its Smith form ``result``."""
-    if result.rank < cols:
+    off its Smith diagonal and rank."""
+    if rank < cols:
         raise DivisibleKernelError("divisible kernel part present")
-    return ModuleDecomposition.from_cyclic_orders(
-        int(d) for d in result.diagonal if d > 1
-    )
+    return ModuleDecomposition.from_cyclic_orders(d for d in diagonal if d > 1)
 
 
 def rank_over_Q(A):
-    """Exact rank via fraction-free (Bareiss-style) elimination."""
+    """Exact rank via fraction-free (Bareiss) elimination."""
     if not isinstance(A, ExactMatrix):
         raise TypeError("expected ExactMatrix")
-    # clear denominators row by row; rank is unchanged
-    M = []
-    for row in A.data:
-        lcm = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        M.append([int(x * lcm) for x in row])
-    m, n = A.rows, A.cols
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if M[i][col] != 0), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        for i in range(row + 1, m):
-            for j in range(col + 1, n):
-                M[i][j] = (M[row][col] * M[i][j] - M[i][col] * M[row][j]) // prev
-            M[i][col] = 0
-        prev = M[row][col]
-        row += 1
-        rank += 1
-        if row == m:
-            break
-    return rank
+    # clearing denominators row by row leaves the rank unchanged
+    return _bareiss(_integer_rows(A.data)[0])[0]
 
 
 def determinant(A):
-    """Exact determinant of a square integer/rational matrix (Bareiss)."""
+    """Exact determinant of a square integer/rational matrix (Bareiss):
+    an int when it is integral, a Fraction otherwise."""
     if A.rows != A.cols:
         raise ValueError("square matrix required")
-    n = A.rows
-    if n == 0:
-        return 1
-    M = [[Fraction(x) for x in row] for row in A.data]
-    sign = 1
-    prev = Fraction(1)
-    for col in range(n - 1):
-        piv = next((i for i in range(col, n) if M[i][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                M[i][j] = (M[col][col] * M[i][j] - M[i][col] * M[col][j]) / prev
-            M[i][col] = Fraction(0)
-        prev = M[col][col]
-    det = sign * M[n - 1][n - 1]
-    if det.denominator == 1:
-        return int(det)
-    return det
+    rows, scale = _integer_rows(A.data)
+    rank, sign, pivot = _bareiss(rows)
+    if rank < A.rows:
+        return 0
+    if scale == 1:
+        return sign * pivot
+    det = Fraction(sign * pivot, scale)
+    return det.numerator if det.denominator == 1 else det
 
 
 def charpoly(A):

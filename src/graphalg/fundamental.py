@@ -51,11 +51,8 @@ def upsilon(N):
         raise ValueError("integer weights required")
     block = interior_block(N).to_integer()
     decomposition = cokernel(block)
-    nondeg = is_nondegenerate(N)
-    if nondeg and decomposition.free_rank != len(N.graph.boundary):
-        raise AssertionError(
-            "non-degenerate network must have free rank |boundary|"
-        )
+    # free rank |V| - rank equals |boundary| iff rank = |interior|
+    nondeg = decomposition.free_rank == len(N.graph.boundary)
     return UpsilonReport(decomposition, block, nondeg)
 
 
@@ -82,23 +79,13 @@ def upsilon_reduced(N):
 
 def critical_group(G):
     """Critical group of a connected graph without boundary: the torsion
-    of Upsilon for the standard Laplacian.  Cross-checked against the
-    variant with a single boundary vertex."""
+    of Upsilon for the standard Laplacian."""
     if G.boundary:
         raise ValueError("critical group is defined for boundaryless graphs")
     if not G.is_connected():
         raise ValueError("connected graph required")
-    N = Network.standard(G)
-    report = upsilon(N)
-    torsion = report.decomposition.invariant_factors
-    if G.vertices:
-        one_bd = G.with_boundary({G.vertices[0]})
-        alt = upsilon(Network.standard(one_bd))
-        if alt.decomposition.invariant_factors != torsion:
-            raise AssertionError(
-                "one-boundary-vertex variant disagrees with torsion"
-            )
-    return ModuleDecomposition(0, torsion)
+    report = upsilon(Network.standard(G))
+    return ModuleDecomposition(0, report.decomposition.invariant_factors)
 
 
 def torsion_crosscheck(N):

@@ -19,11 +19,13 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .exact_algebra import (
+    DivisibleKernelError,
     ExactMatrix,
     Mod,
+    _bareiss,
+    _integer_rows,
     kernel_QmodZ_torsion,
     kernel_mod_n,
-    rank_over_Q,
 )
 from .partial_graph import COLLAPSED, EDGE, PartialGraph, validate_morphism
 
@@ -197,12 +199,24 @@ def in_U0(N, u):
 def is_nondegenerate(N):
     """True iff L restricted to interior-vertex chains is injective
     (i.e. U0 with ring coefficients vanishes)."""
-    if not N.is_integral() and not all(
-        isinstance(w, (int, Fraction)) for _, w in N.weights
-    ):
-        raise TypeError("integer or rational scalars required")
-    block = interior_block(N)
-    return rank_over_Q(block) == len(N.graph.interior)
+    G = N.graph
+    index = {v: i for i, v in enumerate(G.vertices)}
+    wmap = N.wmap
+    # the interior block as int columns, column c scaled by the lcm of
+    # the denominators of d(c) and the weights at c: the rank of the
+    # block is the rank of these columns
+    cols = []
+    for c in G.interior:
+        star = G.star(c)
+        (scaled,), _ = _integer_rows(
+            [[N.offset(c)] + [wmap[oe[0]] for oe in star]]
+        )
+        col = [0] * len(index)
+        col[index[c]] = sum(scaled)
+        for oe, w in zip(star, scaled[1:]):
+            col[index[G.o_head(oe)]] -= w
+        cols.append(col)
+    return _bareiss(cols)[0] == len(cols)
 
 
 def U0_mod_n(N, n):
@@ -218,10 +232,13 @@ def U0_QmodZ(N):
     non-degenerate network."""
     if not N.is_integral():
         raise ValueError("integer weights required")
-    if not is_nondegenerate(N):
-        raise ValueError("degenerate network: U0 over Q/Z is not finite")
     block = interior_block(N).to_integer()
-    return kernel_QmodZ_torsion(block)
+    try:
+        return kernel_QmodZ_torsion(block)
+    except DivisibleKernelError:
+        raise ValueError(
+            "degenerate network: U0 over Q/Z is not finite"
+        ) from None
 
 
 def u0_brute_force_mod_n(N, n):

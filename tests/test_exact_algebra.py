@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,11 @@ from graphalg.exact_algebra import (
     kernel_mod_n,
     poly_divides,
     rank_over_Q,
+    smith_diagonal,
     snf,
 )
+from graphalg.network import Network, interior_block, laplacian_matrix
+from graphalg.partial_graph import PartialGraph
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -31,6 +35,31 @@ small_matrices = st.integers(1, 4).flatmap(
         )
     )
 )
+
+
+@st.composite
+def multigraph_blocks(draw):
+    """The interior block, or the rank-deficient full Laplacian, of a
+    random multigraph with 12-14 vertices, parallel edges, weights
+    1..3 and a random boundary."""
+    nv = draw(st.integers(12, 14))
+    vertex = st.integers(0, nv - 1)
+    ends = draw(
+        st.lists(
+            st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+            min_size=nv,
+            max_size=3 * nv,
+        )
+    )
+    weights = draw(
+        st.lists(st.integers(1, 3), min_size=len(ends), max_size=len(ends))
+    )
+    boundary = draw(st.sets(vertex, max_size=4))
+    G = PartialGraph(range(nv), boundary, dict(enumerate(ends)))
+    N = Network(G, dict(enumerate(weights)))
+    if draw(st.booleans()):
+        return laplacian_matrix(N)
+    return interior_block(N)
 
 
 class TestMod:
@@ -68,6 +97,34 @@ class TestModuleDecomposition:
         assert d.free_rank == 2
         assert d.invariant_factors == (3,)
 
+    def test_product_of_two_large_primes(self):
+        # trial division would need about 10^12 steps on this order
+        p, q = 999999999989, 1000000000039
+        d = ModuleDecomposition.from_cyclic_orders((p * q, p, 1, 0))
+        assert d.free_rank == 1
+        assert d.invariant_factors == (p, p * q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 3000), max_size=8))
+    def test_from_cyclic_orders_matches_prime_powers(self, orders):
+        from sympy import factorint
+
+        # each prime's powers, largest first; factor i of the chain
+        # counted from the top is the product of the i-th largest ones
+        powers = {}
+        for o in filter(None, orders):
+            for prime, k in factorint(o).items():
+                powers.setdefault(prime, []).append(prime**k)
+        columns = [sorted(v, reverse=True) for v in powers.values()]
+        depth = max(map(len, columns), default=0)
+        want = [
+            prod(c[i] for c in columns if i < len(c))
+            for i in reversed(range(depth))
+        ]
+        d = ModuleDecomposition.from_cyclic_orders(orders)
+        assert d.free_rank == orders.count(0)
+        assert list(d.invariant_factors) == want
+
     def test_str(self):
         assert str(ModuleDecomposition(2, (3, 15))) == "Z^2 + Z/3 + Z/15"
         assert str(ModuleDecomposition(1, ())) == "Z"
@@ -98,6 +155,55 @@ class TestSnf:
     def test_known_diagonal(self):
         A = ExactMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
         assert snf(A).diagonal == (2, 2, 156)
+
+
+class TestSmithDiagonal:
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrices)
+    def test_matches_snf(self, rows):
+        A = ExactMatrix(rows)
+        result = snf(A)
+        assert smith_diagonal(A) == (result.diagonal, result.rank)
+
+    @settings(max_examples=40, deadline=None)
+    @given(multigraph_blocks())
+    def test_matches_sympy_on_laplacian_blocks(self, A):
+        from sympy import Matrix, ZZ
+        from sympy.matrices.normalforms import invariant_factors
+
+        want = invariant_factors(Matrix([list(r) for r in A.data]), domain=ZZ)
+        want = tuple(int(abs(d)) for d in want)
+        diagonal, rank = smith_diagonal(A)
+        assert rank == sum(1 for d in want if d)
+        assert diagonal == tuple(d for d in want if d) + (0,) * (
+            len(diagonal) - rank
+        )
+
+    def test_entry_growth_regression(self):
+        # working entries of snf's pivot loop grow without bound here:
+        # it did not finish in two minutes
+        A = ExactMatrix(
+            [
+                [2, -3, -2, 0, 4, 8],
+                [7, -6, 0, -6, -6, 0],
+                [-9, 4, -1, 9, 7, 9],
+                [-4, -3, 0, 0, -3, 0],
+                [7, 0, 3, -9, 4, -1],
+                [4, -9, 0, 0, 0, 3],
+                [2, 2, 0, 8, -4, -6],
+            ]
+        )
+        assert smith_diagonal(A) == ((1, 1, 1, 1, 1, 12), 6)
+
+    def test_degenerate_shapes(self):
+        assert smith_diagonal(ExactMatrix([])) == ((), 0)
+        assert smith_diagonal(ExactMatrix.zeros(2, 3)) == ((0, 0), 0)
+        assert smith_diagonal(ExactMatrix([[6], [4]])) == ((2,), 1)
+        assert smith_diagonal(ExactMatrix([[5, 10]])) == ((5,), 1)
+
+    def test_rejects_fractions(self):
+        with pytest.raises(ValueError):
+            smith_diagonal(ExactMatrix([[Fraction(1, 2)]]))
 
 
 class TestCokernel:
@@ -189,6 +295,37 @@ class TestCharpolyAndDeterminant:
     def test_fraction_determinant(self):
         A = ExactMatrix([[Fraction(1, 2), 1], [1, Fraction(1, 2)]])
         assert determinant(A) == Fraction(-3, 4)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=6),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_determinant_matches_sympy(self, rows):
+        import sympy
+
+        got = determinant(ExactMatrix(rows))
+        want = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]
+        ).det()
+        assert got == Fraction(int(want.p), int(want.q))
+        if all(isinstance(x, int) for r in rows for x in r) or got.denominator == 1:
+            assert type(got) is int
+        else:
+            assert type(got) is Fraction
+
+    def test_singular_and_empty_determinant(self):
+        assert determinant(ExactMatrix([[1, 2], [2, 4]])) == 0
+        assert determinant(ExactMatrix([])) == 1
 
 
 class TestPolyDivides:

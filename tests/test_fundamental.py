@@ -6,6 +6,7 @@ from graphalg.exact_algebra import ModuleDecomposition, poly_divides
 from graphalg.families import (
     complete_bipartite_bi,
     complete_graph,
+    cube,
     cycle,
     wheel,
 )
@@ -53,6 +54,15 @@ class TestCriticalGroup:
         assert critical_group(complete_graph(4)) == ModuleDecomposition(
             0, (4, 4)
         )
+
+    def test_one_boundary_vertex_variant_agrees(self):
+        # the torsion of Upsilon does not change when one vertex of a
+        # connected graph becomes boundary
+        for G in (complete_graph(6), wheel(6).graph, cycle(5), cube(3)):
+            one = G.with_boundary({G.vertices[0]})
+            alt = upsilon(Network.standard(one)).decomposition
+            assert alt.free_rank == 1
+            assert alt.invariant_factors == critical_group(G).invariant_factors
 
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
