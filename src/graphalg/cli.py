@@ -26,12 +26,13 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .continuation import u0_matrix_A
+from .continuation import integer_u0_matrix
 from .exact_algebra import Mod, kernel_QmodZ_from_snf, smith_diagonal
 from .fundamental import (
     critical_group,
@@ -286,11 +287,19 @@ def _cmd_u0(args):
 def _cmd_layerable(args):
     doc = _read_document(args)
     G = doc.network.graph
-    verdict = is_layerable(G)
+    filtration = None
+    if args.filtration:
+        # one strip: it yields the filtration exactly when G is layerable
+        try:
+            filtration = standard_form_filtration(G)
+        except ValueError:
+            pass
+        verdict = filtration is not None
+    else:
+        verdict = is_layerable(G)
     lines = [f"layerable: {'yes' if verdict else 'no'}"]
     payload = {"layerable": verdict}
-    if args.filtration and verdict:
-        filtration = standard_form_filtration(G)
+    if filtration is not None:
         steps = []
         for op in filtration.ops:
             if op.kind == "spike":
@@ -354,10 +363,8 @@ def _cmd_reduce(args):
 def _cmd_u0_matrix(args):
     doc = _read_document(args)
     S = [int(v) for v in args.interiorize.split(",") if v]
-    A = u0_matrix_A(doc.network, S)
-    if not A.is_integer():
-        raise ValueError("A is not integral; use unit integer weights")
-    diag, rank = smith_diagonal(A.to_integer())
+    A = integer_u0_matrix(doc.network, S)
+    diag, rank = smith_diagonal(A)
     dec = kernel_QmodZ_from_snf(diag, rank, A.cols)
     rows = [
         " ".join(_format_scalar(A[i, j]) for j in range(A.cols))
@@ -525,6 +532,10 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
+# Built once per process: building the parser costs more than most
+# subcommands, and argparse looks up its message catalogues on the file
+# system for every argument it adds.
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="graphalg",
@@ -580,8 +591,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)
     except DocumentError as exc:

@@ -2,15 +2,21 @@
 
 Boundary data of a harmonic function u on a stage with boundary labels
 l_1, ..., l_m is the column (u(l_1), ..., u(l_m), Lu(l_1), ..., Lu(l_m)).
-Each layerable extension acts on boundary data by an exact symplectic
-2m x 2m matrix; composing them continues u across the whole filtration.
+The isolated stage acts on boundary data by the offset shear
+Lu = d u, and each layerable extension by an elementary symplectic
+move that changes at most two entries: a spike at one label or a
+boundary edge between two labels.  A :class:`BoundaryTransform` stores
+the move, not its 2m x 2m matrix; applying the moves in turn continues
+u across the whole filtration with O(1) arithmetic per extension.
+``.matrix`` and ``ContinuationPlan.total_matrix`` derive the dense
+matrices from the moves, for checking that they are symplectic.
 
-The same machinery computes, for S a set of interior vertices making
+The same moves compute, for S a set of interior vertices making
 G_{S->boundary} layerable, a matrix A with U0(G, L, M) isomorphic to
 ker(A acting on M^{|S|}): run the continuation over the complementary
-filtration starting from the isolated stage S + boundary, feed in
-arbitrary values on S and zeros on the boundary, and require the final
-Lu-block to vanish.
+filtration starting from the isolated stage S + boundary, feed in the
+unit vectors on S and zeros on the boundary, and read off the final
+Lu-block; u extends harmonically exactly when that block vanishes.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .layering import (
 )
 from .network import (
     Network,
-    U0_QmodZ,
     VertexFunction,
     is_harmonic,
 )
@@ -41,12 +46,55 @@ from .network import (
 
 @dataclass(frozen=True)
 class BoundaryTransform:
-    matrix: ExactMatrix
+    """One layerable extension acting on boundary data (x, y) =
+    (u|boundary, Lu|boundary) of length 2m, as the move ``kind``:
+
+    - ``("initial", d)``: y_i += d_i x_i for every label i;
+    - ``("spike", j, w, d)``: x_j += y_j / w, then y_j += d x_j;
+    - ``("edge", i, j, w)``: with f = w (x_i - x_j), y_i += f and
+      y_j -= f.
+
+    Label indices are 1-based; entries may be in Q or Z/n.
+    """
+
+    m: int
     kind: tuple
 
+    def apply(self, data):
+        """The moved copy of the boundary data ``data``."""
+        out = list(data)
+        m = self.m
+        move = self.kind
+        if move[0] == "initial":
+            for i, d in enumerate(move[1]):
+                out[m + i] += d * out[i]
+        elif move[0] == "spike":
+            _, j, w, d = move
+            k = j - 1
+            out[k] += out[m + k] * (1 / Fraction(w))
+            out[m + k] += d * out[k]
+        else:
+            _, i, j, w = move
+            a, b = i - 1, j - 1
+            f = w * (out[a] - out[b])
+            out[m + a] += f
+            out[m + b] -= f
+        return out
+
     @property
-    def m(self):
-        return self.matrix.rows // 2
+    def matrix(self):
+        """The 2m x 2m matrix of the move (columns: images of e_k)."""
+        return _matrix_of(self.apply, 2 * self.m)
+
+
+def _matrix_of(move, n, cols=None):
+    """The n x cols matrix (n x n by default) whose k-th column is
+    ``move(e_k)``, e_k the k-th unit vector of length n."""
+    columns = [
+        move([int(i == k) for i in range(n)])
+        for k in range(n if cols is None else cols)
+    ]
+    return ExactMatrix([[c[r] for c in columns] for r in range(n)])
 
 
 def symplectic_form(m):
@@ -69,13 +117,8 @@ def is_symplectic(T):
 def initial_transform(d_values):
     """T0 = [[I, 0], [D, I]] for the isolated-vertex stage, D the
     diagonal of the vertex offsets in label order."""
-    m = len(d_values)
-    grid = [[0] * (2 * m) for _ in range(2 * m)]
-    for i in range(m):
-        grid[i][i] = 1
-        grid[m + i][m + i] = 1
-        grid[m + i][i] = d_values[i]
-    return BoundaryTransform(ExactMatrix(grid), ("initial", tuple(d_values)))
+    d_values = tuple(d_values)
+    return BoundaryTransform(len(d_values), ("initial", d_values))
 
 
 def spike_transform(m, j, w, d=0):
@@ -86,15 +129,7 @@ def spike_transform(m, j, w, d=0):
         raise ValueError("index out of range")
     if w == 0:
         raise ValueError("spike weight must be nonzero")
-    winv = Fraction(1, 1) / Fraction(w)
-    grid = [[Fraction(0)] * (2 * m) for _ in range(2 * m)]
-    for i in range(2 * m):
-        grid[i][i] = Fraction(1)
-    k = j - 1
-    grid[k][m + k] = winv
-    grid[m + k][k] = Fraction(d)
-    grid[m + k][m + k] = 1 + Fraction(d) * winv
-    return BoundaryTransform(ExactMatrix(grid), ("spike", j, w, d))
+    return BoundaryTransform(m, ("spike", j, w, d))
 
 
 def edge_transform(m, i, j, w):
@@ -104,15 +139,7 @@ def edge_transform(m, i, j, w):
         raise ValueError("indices out of range or equal")
     if w == 0:
         raise ValueError("edge weight must be nonzero")
-    grid = [[Fraction(0)] * (2 * m) for _ in range(2 * m)]
-    for k in range(2 * m):
-        grid[k][k] = Fraction(1)
-    a, b = i - 1, j - 1
-    grid[m + a][a] += Fraction(w)
-    grid[m + b][b] += Fraction(w)
-    grid[m + a][b] -= Fraction(w)
-    grid[m + b][a] -= Fraction(w)
-    return BoundaryTransform(ExactMatrix(grid), ("edge", i, j, w))
+    return BoundaryTransform(m, ("edge", i, j, w))
 
 
 @dataclass(frozen=True)
@@ -132,11 +159,15 @@ class ContinuationPlan:
     def m(self):
         return len(self.initial_labels)
 
-    def total_matrix(self):
-        M = ExactMatrix.identity(2 * self.m)
+    def apply(self, data):
+        """Boundary data ``data`` of the smallest stage moved through
+        every transform."""
         for T in self.transforms:
-            M = T.matrix * M
-        return M
+            data = T.apply(data)
+        return data
+
+    def total_matrix(self):
+        return _matrix_of(self.apply, 2 * self.m)
 
 
 def _build_plan(N, initial_labels, steps):
@@ -220,7 +251,7 @@ def continue_harmonic(plan, phi):
     data = list(phi) + [0 * v for v in phi]
     values = {}
     for T, record in zip(plan.transforms, plan.records):
-        data = T.matrix.apply(data)
+        data = T.apply(data)
         if record is not None:
             vertex, j = record
             values[vertex] = data[j - 1]
@@ -238,31 +269,32 @@ def u0_matrix_A(N, S):
     """The matrix A of the explicit-kernel theorem: with s = |S| and
     m = s + |boundary|, A is the bottom m x s corner of the total
     boundary-data transform of the complementary filtration, and
-    U0(G, L, M) = ker(A acting on M^s)."""
-    S = sorted(S)
-    plan = complementary_plan(N, S)
-    M = plan.total_matrix()
-    m = plan.m
+    U0(G, L, M) = ker(A acting on M^s).  Only the s columns e_1..e_s
+    are pushed through the moves."""
     s = len(S)
-    rows = range(m, 2 * m)
-    cols = range(s)
-    return M.submatrix(rows, cols)
+    plan = complementary_plan(N, sorted(S))
+    m = plan.m
+    M = _matrix_of(plan.apply, 2 * m, s)
+    return M.submatrix(range(m, 2 * m), range(s))
+
+
+def integer_u0_matrix(N, S):
+    """``u0_matrix_A(N, S)`` with int entries; raises ValueError when A
+    is not integral."""
+    A = u0_matrix_A(N, S)
+    if not A.is_integer():
+        raise ValueError("A is not integral; use unit integer weights")
+    return A.to_integer()
 
 
 def u0_via_continuation(N, S):
     """Torsion decomposition of ker A over Q/Z; cross-oracle for
     U0_QmodZ."""
-    A = u0_matrix_A(N, S)
-    if not A.is_integer():
-        raise ValueError("A is not integral; use unit integer weights")
-    return kernel_QmodZ_torsion(A.to_integer())
+    return kernel_QmodZ_torsion(integer_u0_matrix(N, S))
 
 
 def u0_mod_n_via_continuation(N, S, n):
-    A = u0_matrix_A(N, S)
-    if not A.is_integer():
-        raise ValueError("A is not integral; use unit integer weights")
-    return kernel_mod_n(A.to_integer(), n)
+    return kernel_mod_n(integer_u0_matrix(N, S), n)
 
 
 def find_layering_set(G):

@@ -100,7 +100,8 @@ def _is_exact_scalar(x):
 
 
 class ExactMatrix:
-    """Immutable dense matrix with int or Fraction entries."""
+    """Immutable dense matrix with int or Fraction entries (kept as
+    given: a row may mix the two)."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -108,42 +109,19 @@ class ExactMatrix:
         rows = len(data)
         cols = len(data[0]) if rows else 0
         grid = []
-        has_fraction = False
         for row in data:
             if len(row) != cols:
                 raise ValueError("ragged rows")
             for x in row:
                 if not _is_exact_scalar(x):
                     raise TypeError(f"not an exact scalar: {x!r}")
-                if isinstance(x, Fraction):
-                    has_fraction = True
             grid.append(tuple(row))
-        if has_fraction:
-            grid = [tuple(Fraction(x) for x in row) for row in grid]
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", tuple(grid))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
-
-    @staticmethod
-    def zeros(rows, cols):
-        return ExactMatrix([[0] * cols for _ in range(rows)])
-
-    @staticmethod
-    def identity(n):
-        return ExactMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def diagonal(entries, rows=None, cols=None):
-        n = len(entries)
-        rows = n if rows is None else rows
-        cols = n if cols is None else cols
-        grid = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(entries):
-            grid[i][i] = d
-        return ExactMatrix(grid)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -182,29 +160,6 @@ class ExactMatrix:
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
         )
 
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [
-                [self.data[i][j] - other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __neg__(self):
-        return ExactMatrix([[-x for x in row] for row in self.data])
-
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
             if self.cols != other.rows:
@@ -221,17 +176,7 @@ class ExactMatrix:
                     for i in range(self.rows)
                 ]
             )
-        if _is_exact_scalar(other):
-            return ExactMatrix([[x * other for x in row] for row in self.data])
         return NotImplemented
-
-    def __rmul__(self, other):
-        if _is_exact_scalar(other):
-            return ExactMatrix([[other * x for x in row] for row in self.data])
-        return NotImplemented
-
-    def scale(self, c):
-        return ExactMatrix([[x * c for x in row] for row in self.data])
 
     def apply(self, vector):
         """Matrix-vector product; vector entries may live in any module
@@ -246,18 +191,6 @@ class ExactMatrix:
                 acc = term if acc is None else acc + term
             out.append(acc if acc is not None else 0)
         return out
-
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [list(self.data[i]) + list(other.data[i]) for i in range(self.rows)]
-        )
-
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return ExactMatrix([list(r) for r in self.data] + [list(r) for r in other.data])
 
     def submatrix(self, row_indices, col_indices):
         return ExactMatrix(

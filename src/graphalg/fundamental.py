@@ -18,11 +18,12 @@ from fractions import Fraction
 from .exact_algebra import (
     ExactMatrix,
     ModuleDecomposition,
+    _bareiss,
+    _integer_rows,
     charpoly,
     cokernel,
     determinant,
     poly_divides,
-    rank_over_Q,
 )
 from .network import (
     Network,
@@ -125,18 +126,16 @@ def laplacian_charpoly(N):
 def eigen_multiplicity(N, lam):
     """Multiplicity of lam as an eigenvalue of the full Laplacian over Q
     (nullity of lam*I - L)."""
+    lam = Fraction(lam)
+    p, q = lam.numerator, lam.denominator
     full = laplacian_matrix(N)
-    n = full.rows
-    shifted = ExactMatrix(
-        [
-            [
-                (Fraction(lam) if i == j else Fraction(0)) - Fraction(full[i, j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+    # q*lam*I - q*L has the rank of lam*I - L; its rows are int once
+    # cleared of any denominators that Fraction weights bring
+    rows, _ = _integer_rows(
+        [(p if i == j else 0) - q * x for j, x in enumerate(row)]
+        for i, row in enumerate(full.data)
     )
-    return n - rank_over_Q(shifted)
+    return full.rows - _bareiss(rows)[0]
 
 
 def charpoly_divisibility_check(f, N1, N2):

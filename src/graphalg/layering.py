@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .network import Network, VertexFunction, in_U0
 from .partial_graph import PartialGraph
@@ -230,28 +231,29 @@ def strip_layerable(G, message="graph is not layerable"):
 
 @dataclass(frozen=True)
 class Filtration:
-    """A standard-form layerable filtration, recorded from the smallest
-    stage upward: ``stages[0]`` is the isolated-boundary-vertex stage,
-    ``stages[-1]`` the full graph; ``ops[j]`` is the strip move undone
-    by the extension ``stages[j] -> stages[j+1]``; ``labellings[j]``
-    lists the boundary of ``stages[j]`` in consistent label order."""
+    """A standard-form layerable filtration of ``graph``, recorded from
+    the smallest stage upward: ``ops[j]`` is the strip move undone by
+    the extension ``stages[j] -> stages[j+1]``; ``labellings[j]`` lists
+    the boundary of ``stages[j]`` in consistent label order."""
 
-    stages: tuple
+    graph: PartialGraph
     ops: tuple
     labellings: tuple
+
+    @cached_property
+    def stages(self):
+        """The stage graphs, built on first use: ``stages[0]`` is the
+        isolated-boundary-vertex stage, ``stages[-1]`` the full graph."""
+        stages = [self.graph]
+        for op in reversed(self.ops):
+            stages.append(_apply(stages[-1], op))
+        return tuple(reversed(stages))
 
 
 def standard_form_filtration(G):
     """Standard-form filtration of a layerable graph; raises ValueError
     if G is not layerable."""
     remnant, strip_ops = strip_layerable(G)
-    # stages, read upward from the remnant
-    stages = [G]
-    H = G
-    for op in strip_ops:
-        H = _apply(H, op)
-        stages.append(H)
-    stages.reverse()
     ext_ops = tuple(reversed(strip_ops))
     # consistent labellings: start from the remnant in sorted order; a
     # spike extension puts the new boundary vertex at the index of the
@@ -263,7 +265,7 @@ def standard_form_filtration(G):
             idx = label.index(op.interior_vertex)
             label[idx] = op.vertex
         labellings.append(tuple(label))
-    return Filtration(tuple(stages), ext_ops, tuple(labellings))
+    return Filtration(G, ext_ops, tuple(labellings))
 
 
 # -- complete reducibility ---------------------------------------------

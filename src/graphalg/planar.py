@@ -101,15 +101,6 @@ def _augmented_rotation(EG):
     return rmap
 
 
-def _aug_head(EG, dart):
-    if _is_arc(dart):
-        _, i, s = dart
-        order = EG.boundary_order
-        b = len(order)
-        return order[(i + 1) % b] if s > 0 else order[i]
-    return EG.graph.o_head(dart)
-
-
 def _aug_rev(dart):
     if _is_arc(dart):
         _, i, s = dart

@@ -17,11 +17,11 @@ from .continuation import (
     edge_transform,
     find_layering_set,
     initial_transform,
+    integer_u0_matrix,
     invariant_factor_bound,
     is_symplectic,
     multiplicity_bound_check,
     spike_transform,
-    u0_matrix_A,
     u0_via_continuation,
 )
 from .exact_algebra import (
@@ -174,13 +174,20 @@ def _clf_prime_expected(m, n):
 
 
 def check_clf():
-    """The chain-link fence closed forms, for both families."""
+    """The chain-link fence closed forms, for both families; clf also
+    through the kernel matrix A of a layering set."""
     bad = []
     for m in range(3, 41):
         for n in range(1, 6):
-            got = U0_QmodZ(Network.standard(families.clf(m, n)))
-            if got != _clf_expected(m, n):
+            G = families.clf(m, n)
+            N = Network.standard(G)
+            want = _clf_expected(m, n)
+            got = U0_QmodZ(N)
+            if got != want:
                 bad.append(("clf", m, n, str(got)))
+            got = u0_via_continuation(N, find_layering_set(G))
+            if got != want:
+                bad.append(("clf via A", m, n, str(got)))
     for m in range(1, 7):
         for n in range(1, 5):
             got = U0_QmodZ(Network.standard(families.clf_prime(m, n)))
@@ -189,7 +196,7 @@ def check_clf():
     return _result(
         "chain-link-fence",
         not bad,
-        "clf m 3..40 n 1..5; clf' m 1..6 n 1..4"
+        "clf m 3..40 n 1..5, direct and via A; clf' m 1..6 n 1..4"
         if not bad
         else f"mismatch: {bad}",
     )
@@ -216,8 +223,7 @@ def check_worked_example():
     mod-3 and mod-5 generators lie in U0."""
     G = _worked_example()
     N = Network.standard(G)
-    A = u0_matrix_A(N, {3, 4})
-    diag, _ = smith_diagonal(A.to_integer())
+    diag, _ = smith_diagonal(integer_u0_matrix(N, {3, 4}))
     dec = u0_via_continuation(N, {3, 4})
     ok = tuple(diag) == (3, 15) and dec == ModuleDecomposition(0, (3, 15))
     ok = ok and U0_QmodZ(N) == ModuleDecomposition(0, (3, 15))
@@ -541,17 +547,32 @@ def check_symplectic():
     return _result("symplectic", True, "200 transforms + products")
 
 
+def _random_sparse_graph(rng, nv, extra):
+    """A random spanning tree on nv vertices plus ``extra`` further
+    edges, without parallel edges."""
+    pairs = set()
+    for v in range(1, nv):
+        pairs.add((rng.randrange(v), v))
+    while len(pairs) < nv - 1 + extra:
+        pairs.add(tuple(sorted(rng.sample(range(nv), 2))))
+    return PartialGraph(range(nv), (), dict(enumerate(sorted(pairs))))
+
+
 def check_cross_oracle():
-    """Thirty random non-degenerate unit-weight networks: the direct
-    kernel over Q/Z, the transposed cokernel, and the layer-stripping
-    kernel matrix agree."""
+    """Thirty random non-degenerate unit-weight networks with at most
+    seven vertices and four with 50-64: the direct kernel over Q/Z, the
+    transposed cokernel, and the layer-stripping kernel matrix agree."""
     rng = random.Random(1089)
     done = 0
-    while done < 30:
-        G = _random_connected_graph(rng, max_vertices=7, max_edges=12)
-        boundary = {v for v in G.vertices if rng.random() < 0.4}
-        if not boundary:
-            boundary = {0}
+    while done < 34:
+        if done < 30:
+            G = _random_connected_graph(rng, max_vertices=7, max_edges=12)
+            boundary = {v for v in G.vertices if rng.random() < 0.4} or {0}
+        else:
+            # one to three boundary vertices leave nontrivial torsion
+            nv = rng.randint(50, 64)
+            G = _random_sparse_graph(rng, nv, nv // 2)
+            boundary = set(rng.sample(range(nv), rng.randint(1, 3)))
         G = G.with_boundary(boundary)
         if not G.interior:
             continue
@@ -569,7 +590,9 @@ def check_cross_oracle():
                 "cross-oracle", False, f"kernel matrix route: {G} S={S}"
             )
         done += 1
-    return _result("cross-oracle", True, "30 random networks, 3 routes")
+    return _result(
+        "cross-oracle", True, "34 random networks (4 with 50+ vertices), 3 routes"
+    )
 
 
 def _embed_with_networkx(G, rng):

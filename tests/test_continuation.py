@@ -4,6 +4,8 @@ continuation."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphalg.continuation import (
     complementary_plan,
@@ -21,10 +23,16 @@ from graphalg.continuation import (
     u0_mod_n_via_continuation,
     u0_via_continuation,
 )
-from graphalg.exact_algebra import ExactMatrix, ModuleDecomposition, snf
+from graphalg.exact_algebra import ExactMatrix, Mod, ModuleDecomposition, snf
 from graphalg.families import complete_graph, cube
 from graphalg.layering import interiorize, is_layerable
-from graphalg.network import Network, U0_QmodZ, U0_mod_n, is_harmonic
+from graphalg.network import (
+    Network,
+    U0_QmodZ,
+    U0_mod_n,
+    apply_L,
+    is_harmonic,
+)
 from graphalg.partial_graph import PartialGraph
 
 
@@ -44,10 +52,119 @@ def worked_example():
     return PartialGraph(range(5), {2}, edges)
 
 
+def reference_initial(d_values):
+    """[[I, 0], [D, I]] as a dense grid."""
+    m = len(d_values)
+    grid = [[int(r == c) for c in range(2 * m)] for r in range(2 * m)]
+    for i, d in enumerate(d_values):
+        grid[m + i][i] = d
+    return ExactMatrix(grid)
+
+
+def reference_spike(m, j, w, d):
+    """[[I, w^-1 E_jj], [d E_jj, I + d w^-1 E_jj]] as a dense grid."""
+    grid = [[int(r == c) for c in range(2 * m)] for r in range(2 * m)]
+    k = j - 1
+    grid[k][m + k] = 1 / Fraction(w)
+    grid[m + k][k] = d
+    grid[m + k][m + k] = 1 + d / Fraction(w)
+    return ExactMatrix(grid)
+
+
+def reference_edge(m, i, j, w):
+    """[[I, 0], [w(E_ii + E_jj - E_ij - E_ji), I]] as a dense grid."""
+    grid = [[int(r == c) for c in range(2 * m)] for r in range(2 * m)]
+    a, b = i - 1, j - 1
+    grid[m + a][a] += w
+    grid[m + b][b] += w
+    grid[m + a][b] -= w
+    grid[m + b][a] -= w
+    return ExactMatrix(grid)
+
+
+weights = st.fractions(-5, 5, max_denominator=4).filter(bool)
+offsets = st.fractions(-3, 3, max_denominator=3) | st.integers(-3, 3)
+
+
+@st.composite
+def moves(draw):
+    """A random move with its reference grid."""
+    m = draw(st.integers(2, 6))
+    index = st.integers(1, m)
+    kind = draw(st.sampled_from(["initial", "spike", "edge"]))
+    if kind == "initial":
+        d = draw(st.lists(offsets, min_size=m, max_size=m))
+        return initial_transform(d), reference_initial(d)
+    if kind == "spike":
+        j, w, d = draw(index), draw(weights), draw(offsets)
+        return spike_transform(m, j, w, d), reference_spike(m, j, w, d)
+    i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+    w = draw(weights)
+    return edge_transform(m, i, j, w), reference_edge(m, i, j, w)
+
+
+@st.composite
+def layerable_networks(draw):
+    """A layerable network grown from isolated boundary vertices by
+    random spikes and boundary edges; its weights and nonzero offsets
+    are either all in 1..5 (units mod 101) or all fractions."""
+    m = draw(st.integers(1, 5))
+    boundary = list(range(m))
+    nv = m
+    edges = {}
+    for step in draw(st.lists(st.booleans(), max_size=25)):
+        if step or m == 1:
+            k = draw(st.integers(0, m - 1))
+            edges[len(edges)] = (boundary[k], nv)
+            boundary[k] = nv
+            nv += 1
+        else:
+            a, b = draw(
+                st.lists(
+                    st.integers(0, m - 1), min_size=2, max_size=2, unique=True
+                )
+            )
+            edges[len(edges)] = (boundary[a], boundary[b])
+    scalars = weights if draw(st.booleans()) else st.integers(1, 5)
+    w = {e: draw(scalars) for e in edges}
+    d = {v: draw(scalars | st.just(0)) for v in range(nv)}
+    return Network(PartialGraph(range(nv), boundary, edges), w, d)
+
+
+@st.composite
+def networks_with_layering_sets(draw):
+    """A random connected multigraph on 3-8 vertices with a random
+    boundary and nonzero Fraction weights, and S = find_layering_set."""
+    nv = draw(st.integers(3, 8))
+    edges = {}
+    for v in range(1, nv):
+        edges[len(edges)] = (draw(st.integers(0, v - 1)), v)
+    vertex = st.integers(0, nv - 1)
+    extra = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    for p in draw(st.lists(extra, max_size=2 * nv)):
+        edges[len(edges)] = p
+    boundary = draw(st.sets(vertex, min_size=1, max_size=nv - 1))
+    G = PartialGraph(range(nv), boundary, edges)
+    N = Network(G, {e: draw(weights) for e in edges})
+    return N, find_layering_set(G)
+
+
+def final_labels(plan):
+    """The vertices labelled 1..m after the last move of the plan."""
+    label = list(plan.initial_labels)
+    for record in plan.records:
+        if record is not None:
+            vertex, j = record
+            label[j - 1] = vertex
+    return label
+
+
 class TestTransforms:
     def test_symplectic_form_squares_to_minus_identity(self):
         J = symplectic_form(3)
-        assert J * J == ExactMatrix.identity(6).scale(-1)
+        assert J * J == ExactMatrix(
+            [[-int(i == j) for j in range(6)] for i in range(6)]
+        )
 
     def test_each_generator_is_symplectic(self):
         assert is_symplectic(initial_transform([2, -1, 0]).matrix)
@@ -61,6 +178,24 @@ class TestTransforms:
             edge_transform(2, 1, 2, 0)
         with pytest.raises(ValueError):
             edge_transform(2, 1, 1, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(moves())
+    def test_matrix_matches_reference_grid(self, case):
+        T, grid = case
+        assert T.matrix == grid
+        assert T.m == grid.rows // 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(moves(), st.data())
+    def test_apply_is_the_matrix_action(self, case, data):
+        T, grid = case
+        x = data.draw(
+            st.lists(offsets, min_size=grid.rows, max_size=grid.rows)
+        )
+        assert T.apply(x) == grid.apply(x)
+        x_mod = [Mod(v, 101) for v in x]
+        assert T.apply(x_mod) == grid.apply(x_mod)
 
     def test_spike_transform_entries(self):
         T = spike_transform(2, 1, 2, 3).matrix
@@ -103,7 +238,50 @@ class TestContinuation:
             continuation_plan(Network.standard(G))
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(layerable_networks(), st.data())
+    def test_continue_harmonic_agrees_with_total_matrix(self, N, data):
+        plan = continuation_plan(N)
+        total = plan.total_matrix()
+        assert is_symplectic(total)
+        m = plan.m
+        for modulus in (None, 101):
+            if modulus is None:
+                phi = data.draw(st.lists(offsets, min_size=m, max_size=m))
+                phi = [Fraction(x) for x in phi]
+            elif not N.is_integral():
+                continue
+            else:
+                phi = data.draw(
+                    st.lists(st.integers(0, 100), min_size=m, max_size=m)
+                )
+                phi = [Mod(x, modulus) for x in phi]
+            u = continue_harmonic(plan, phi)
+            out = total.apply(phi + [0 * x for x in phi])
+            labels = final_labels(plan)
+            Lu = apply_L(N, u)
+            assert out[:m] == [u(v) for v in labels]
+            assert out[m:] == [Lu(v) for v in labels]
+
+
 class TestExplicitKernel:
+    def _corner(self, N, S):
+        plan = complementary_plan(N, S)
+        m = plan.m
+        return plan.total_matrix().submatrix(range(m, 2 * m), range(len(S)))
+
+    def test_worked_example_is_a_corner_of_the_total_matrix(self):
+        N = Network.standard(worked_example())
+        assert u0_matrix_A(N, {3, 4}) == self._corner(N, [3, 4])
+
+    @settings(max_examples=60, deadline=None)
+    @given(networks_with_layering_sets())
+    def test_u0_matrix_is_a_corner_of_the_total_matrix(self, case):
+        N, S = case
+        A = u0_matrix_A(N, S)
+        assert (A.rows, A.cols) == (len(S) + len(N.graph.boundary), len(S))
+        assert A == self._corner(N, S)
+
     def test_worked_example_smith_form(self):
         N = Network.standard(worked_example())
         A = u0_matrix_A(N, {3, 4})

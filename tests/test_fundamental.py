@@ -1,6 +1,10 @@
 """Unit tests for the fundamental module, critical groups, and spectra."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphalg.exact_algebra import ModuleDecomposition, poly_divides
 from graphalg.families import (
@@ -20,8 +24,43 @@ from graphalg.fundamental import (
     upsilon,
     upsilon_reduced,
 )
-from graphalg.network import Network
-from graphalg.partial_graph import bipartite_double_cover
+from graphalg.network import Network, laplacian_matrix
+from graphalg.partial_graph import PartialGraph, bipartite_double_cover
+
+nonzero_fractions = st.fractions(-5, 5, max_denominator=4).filter(bool)
+
+
+@st.composite
+def fraction_networks(draw):
+    """A random network on 2-6 vertices with parallel edges, nonzero
+    Fraction weights and Fraction offsets, and a value of lambda: one
+    of the diagonal entries of L, or any small fraction."""
+    nv = draw(st.integers(2, 6))
+    vertex = st.integers(0, nv - 1)
+    ends = draw(
+        st.lists(
+            st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+            min_size=1,
+            max_size=2 * nv,
+        )
+    )
+    weights = draw(
+        st.lists(nonzero_fractions, min_size=len(ends), max_size=len(ends))
+    )
+    offsets = draw(
+        st.lists(
+            st.fractions(-3, 3, max_denominator=3), min_size=nv, max_size=nv
+        )
+    )
+    G = PartialGraph(range(nv), (), dict(enumerate(ends)))
+    N = Network(G, dict(enumerate(weights)), dict(enumerate(offsets)))
+    L = laplacian_matrix(N)
+    lam = draw(
+        st.sampled_from([L[i, i] for i in range(nv)])
+        | st.fractions(-6, 6, max_denominator=4)
+        | st.integers(-6, 6)
+    )
+    return N, lam
 
 
 class TestUpsilon:
@@ -99,6 +138,41 @@ class TestSpectra:
         assert eigen_multiplicity(N, 4) == 3
         assert eigen_multiplicity(N, 0) == 1
         assert eigen_multiplicity(N, 1) == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(fraction_networks())
+    def test_eigen_multiplicity_matches_sympy_nullity(self, case):
+        import sympy
+
+        N, lam = case
+        L = laplacian_matrix(N)
+        rational = lambda x: sympy.Rational(x.numerator, x.denominator)
+        shifted = sympy.Matrix(
+            [
+                [
+                    (rational(lam) if i == j else 0) - rational(x)
+                    for j, x in enumerate(row)
+                ]
+                for i, row in enumerate(L.data)
+            ]
+        )
+        assert eigen_multiplicity(N, lam) == len(shifted.nullspace())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 6),
+        nonzero_fractions,
+        st.fractions(-3, 3, max_denominator=3),
+    )
+    def test_eigen_multiplicity_of_weighted_complete_graph(self, n, w, c):
+        # L = c*I + w*(n*I - J): eigenvalue c once, c + n*w n-1 times
+        G = complete_graph(n)
+        N = Network(
+            G, {e: w for e in G.edge_ids}, {v: c for v in G.vertices}
+        )
+        assert eigen_multiplicity(N, c + n * w) == n - 1
+        assert eigen_multiplicity(N, c) == 1
+        assert eigen_multiplicity(N, c + n * w / 2) == 0
 
     def test_double_cover_charpoly_divisibility(self):
         G = complete_graph(4)
