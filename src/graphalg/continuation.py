@@ -29,6 +29,7 @@ from .exact_algebra import (
     kernel_QmodZ_torsion,
     kernel_mod_n,
 )
+from .fundamental import eigen_multiplicity
 from .layering import (
     EDGE_DEL,
     SPIKE,
@@ -336,8 +337,6 @@ def invariant_factor_bound(G, S):
 def multiplicity_bound_check(N, S, lam):
     """Eigenvalue multiplicity is at most |S| when G_{S->boundary} is
     layerable."""
-    from .fundamental import eigen_multiplicity
-
     G = N.graph
     if not is_layerable(interiorize(G, set(S) - set(G.boundary))):
         raise ValueError("G_{S->boundary} is not layerable")

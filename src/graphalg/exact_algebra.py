@@ -6,8 +6,9 @@ entry points are the Smith normal form diagonal (:func:`smith_diagonal`,
 computed modulo a nonzero minor so that entries stay bounded), cokernel
 and kernel decompositions of integer matrices, exact rank and
 determinant (one integer Bareiss elimination), and characteristic
-polynomials.  :func:`snf` adds the unimodular transforms U and V as a
-certificate for small inputs.
+polynomials (one division-free Berkowitz pass on the same int rows).
+:func:`snf` adds the unimodular transforms U and V as a certificate
+for small inputs.
 
 Finitely generated abelian groups are described by
 :class:`ModuleDecomposition`: a free rank plus a divisibility chain of
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 class Mod:
@@ -619,48 +621,34 @@ def determinant(A):
 
 def charpoly(A):
     """Coefficients of det(zI - A), highest degree first, for an integer
-    square matrix.  Computed by evaluating the fraction-free determinant
-    at dim+1 integer points and interpolating."""
+    square matrix.
+
+    Berkowitz's division-free recurrence (Inf. Proc. Letters 18, 1984)
+    on the int rows: for k = 0, ..., n-1, with R the part of row k left
+    of the diagonal, C the part of column k above it and A_k the leading
+    k x k block, p_k is the lower-triangular Toeplitz matrix with first
+    column (1, -a_kk, -R C, -R A_k C, ..., -R A_k^(k-1) C) times p_(k-1),
+    i.e. the first k+2 terms of the convolution of the two coefficient
+    lists.  Every number is an int whose size is polynomial in the
+    input.
+    """
     if A.rows != A.cols:
         raise ValueError("square matrix required")
     M = _require_integer(A)
-    n = A.rows
-    if n == 0:
-        return [1]
-    points = list(range(n + 1))
-    values = []
-    for z in points:
-        B = ExactMatrix(
-            [
-                [(z if i == j else 0) - M[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        values.append(determinant(B))
-    # Lagrange interpolation; the result is monic with integer coefficients.
-    coeffs = [Fraction(0)] * (n + 1)
-    for k, zk in enumerate(points):
-        # basis polynomial prod_{j != k} (z - zj) / (zk - zj)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, zj in enumerate(points):
-            if j == k:
-                continue
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d] += c * (-zj)
-                nxt[d + 1] += c
-            basis = nxt
-            denom *= zk - zj
-        scale = Fraction(values[k]) / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += c * scale
-    out = []
-    for c in reversed(coeffs):
-        if c.denominator != 1:
-            raise ArithmeticError("interpolation produced non-integer coefficient")
-        out.append(int(c))
-    return out
+    p = [1]
+    for k, row in enumerate(M):
+        head = M[:k]
+        col = [r[k] for r in head]
+        t = [1, -row[k]]
+        for _ in range(k):
+            # map stops at len(col) = k, so row gives R and head A_k
+            t.append(-sum(map(mul, row, col)))
+            col = [sum(map(mul, r, col)) for r in head]
+        p = [
+            sum(t[i - j] * c for j, c in enumerate(p[: i + 1]))
+            for i in range(k + 2)
+        ]
+    return p
 
 
 def poly_divides(p, q):

@@ -28,7 +28,7 @@ from .exact_algebra import (
 from .network import (
     Network,
     U0_QmodZ,
-    interior_block,
+    integer_interior_block,
     is_nondegenerate,
     laplacian_matrix,
 )
@@ -48,9 +48,7 @@ class UpsilonReport:
 
 def upsilon(N):
     """Decomposition of Upsilon(G, L) for an integer-weight network."""
-    if not N.is_integral():
-        raise ValueError("integer weights required")
-    block = interior_block(N).to_integer()
+    block = integer_interior_block(N)
     decomposition = cokernel(block)
     # free rank |V| - rank equals |boundary| iff rank = |interior|
     nondeg = decomposition.free_rank == len(N.graph.boundary)
@@ -61,14 +59,12 @@ def upsilon_reduced(N):
     """Decomposition of the reduced module ker(eps) / L(ZV°) for a
     normalized network, in the chain basis {x_i - x_0} with x_0 the
     lowest vertex id."""
-    if not N.is_integral():
-        raise ValueError("integer weights required")
+    block = integer_interior_block(N)
     if not N.is_normalized():
         raise ValueError("normalized network (d = 0) required")
     G = N.graph
     if not G.vertices:
         return ModuleDecomposition(0, ())
-    block = interior_block(N).to_integer()
     # with d = 0 every column sums to zero, so a column lies in ker(eps)
     # and its coordinates off x_0 are its coefficients in the basis
     # {x_i - x_0}: drop the x_0 row.
@@ -95,7 +91,7 @@ def torsion_crosscheck(N):
     Returns True when all agree (requires non-degeneracy)."""
     if not is_nondegenerate(N):
         raise ValueError("non-degenerate network required")
-    block = interior_block(N).to_integer()
+    block = integer_interior_block(N)
     a = cokernel(block).invariant_factors
     b = cokernel(block.transpose()).invariant_factors
     c = U0_QmodZ(N).invariant_factors

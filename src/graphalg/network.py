@@ -164,6 +164,14 @@ def interior_block(N):
     return laplacian_matrix(N, N.graph.vertices, N.graph.interior)
 
 
+def integer_interior_block(N):
+    """``interior_block(N)`` with int entries; raises ValueError when a
+    weight or offset is not an integer."""
+    if not N.is_integral():
+        raise ValueError("integer weights required")
+    return interior_block(N).to_integer()
+
+
 def apply_L(N, u):
     """Lu as a VertexFunction; u may be valued in Z, Q, or Z/n."""
     G = N.graph
@@ -221,18 +229,13 @@ def is_nondegenerate(N):
 
 def U0_mod_n(N, n):
     """Decomposition of U0(G, L, Z/n)."""
-    if not N.is_integral():
-        raise ValueError("integer weights required")
-    block = interior_block(N).to_integer()
-    return kernel_mod_n(block, n)
+    return kernel_mod_n(integer_interior_block(N), n)
 
 
 def U0_QmodZ(N):
     """Decomposition of the finite group U0(G, L, Q/Z); requires a
     non-degenerate network."""
-    if not N.is_integral():
-        raise ValueError("integer weights required")
-    block = interior_block(N).to_integer()
+    block = integer_interior_block(N)
     try:
         return kernel_QmodZ_torsion(block)
     except DivisibleKernelError:

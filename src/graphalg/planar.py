@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_algebra import Mod
+from .fundamental import upsilon_reduced
 from .network import Network, VertexFunction, is_harmonic
 from .partial_graph import PartialGraph, rev
 
@@ -283,8 +284,6 @@ def double_dual_is_isomorphic(N, EG):
 def verify_duality(N, EG):
     """The reduced fundamental modules of a normalized integral network
     and of its dual have equal invariant factors."""
-    from .fundamental import upsilon_reduced
-
     if not N.is_normalized():
         raise ValueError("duality requires a normalized network (d = 0)")
     D = dual(N, EG)

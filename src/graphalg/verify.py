@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from . import families
 from .continuation import (
@@ -52,6 +54,7 @@ from .network import (
     VertexFunction,
     in_U0,
     is_nondegenerate,
+    laplacian_matrix,
     pullback_harmonic,
     pushforward_U0,
     u0_brute_force_mod_n,
@@ -59,7 +62,10 @@ from .network import (
 from .partial_graph import PartialGraph, bipartite_double_cover
 from .planar import (
     EmbeddedPartialGraph,
+    _trace_all_faces,
     dual,
+    trace_faces,
+    validate_embedding,
     verify_duality,
 )
 
@@ -73,12 +79,6 @@ class CheckResult:
 
 def _result(name, passed, detail=""):
     return CheckResult(name, bool(passed), detail)
-
-
-def _gcd(a, b):
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def _one_boundary_agrees(G, got):
@@ -160,7 +160,7 @@ def _clf_expected(m, n):
     elif m % 4 == 2:
         orders = [2] * (2 * n)
     else:
-        orders = [_gcd(4**j, 2 * m) for j in range(1, n + 1)] * 2
+        orders = [gcd(4**j, 2 * m) for j in range(1, n + 1)] * 2
     return ModuleDecomposition.from_cyclic_orders(orders)
 
 
@@ -168,8 +168,8 @@ def _clf_prime_expected(m, n):
     if m % 2 == 1:
         orders = [2] * n
     else:
-        orders = [_gcd(4**j, 4 * m) for j in range(1, (n + 1) // 2 + 1)]
-        orders += [_gcd(4**j, 4 * m) for j in range(1, n // 2 + 1)]
+        orders = [gcd(4**j, 4 * m) for j in range(1, (n + 1) // 2 + 1)]
+        orders += [gcd(4**j, 4 * m) for j in range(1, n // 2 + 1)]
     return ModuleDecomposition.from_cyclic_orders(orders)
 
 
@@ -333,7 +333,12 @@ def check_cycle_spectra():
                         bad.append((n, "mult", str(r)))
                     if not multiplicity_bound_check(N, {0, 1}, -lam):
                         bad.append((n, "bound", str(r)))
-    for G in (families.cycle(3), families.complete_graph(4)):
+    for G in (
+        families.cycle(3),
+        families.complete_graph(4),
+        families.complete_graph(32),
+        families.cube(5),
+    ):
         cover, f = bipartite_double_cover(G)
         if not charpoly_divisibility_check(
             f, Network.standard(cover), Network.standard(G)
@@ -342,15 +347,13 @@ def check_cycle_spectra():
     return _result(
         "cycle-spectra",
         not bad,
-        "C_n n 3..12; double covers of C3, K4"
+        "C_n n 3..12; double covers of C3, K4, K32, Q5"
         if not bad
         else f"failed: {bad}",
     )
 
 
 def _negate(N):
-    from .network import laplacian_matrix
-
     L = laplacian_matrix(N).to_integer()
     return ExactMatrix([[-x for x in row] for row in L.data])
 
@@ -428,8 +431,6 @@ def _random_connected_graph(rng, max_vertices=5, max_edges=7, multi=False):
 
 
 def _all_connected_graphs(max_vertices=5, max_edges=7):
-    from itertools import combinations
-
     for nv in range(1, max_vertices + 1):
         pairs = list(combinations(range(nv), 2))
         top = min(max_edges, len(pairs))
@@ -622,8 +623,6 @@ def _embed_with_networkx(G, rng):
             else rotation
         )
         EG0 = EmbeddedPartialGraph(G, rot, ())
-        from .planar import _trace_all_faces
-
         faces = _trace_all_faces(EG0)
         candidates = []
         for face in faces:
@@ -643,8 +642,6 @@ def _embed_with_networkx(G, rng):
                 G.with_boundary(boundary), rmap, tuple(boundary)
             )
             try:
-                from .planar import validate_embedding
-
                 validate_embedding(EG)
                 return EG
             except ValueError:
@@ -664,8 +661,6 @@ def check_random_planar_duality():
             continue
         # an edge with the same face on both sides would dualize to a
         # loop; skip those samples
-        from .planar import trace_faces
-
         face_of = {}
         for i, f in enumerate(trace_faces(EG)):
             for d in f.darts:

@@ -272,10 +272,12 @@ class TestKernelQmodZ:
 class TestCharpolyAndDeterminant:
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(
-            st.lists(st.integers(-6, 6), min_size=3, max_size=3),
-            min_size=3,
-            max_size=3,
+        st.integers(0, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
         )
     )
     def test_charpoly_matches_sympy(self, rows):
@@ -283,7 +285,8 @@ class TestCharpolyAndDeterminant:
 
         A = ExactMatrix(rows)
         got = charpoly(A)
-        want = sympy.Matrix(rows).charpoly().all_coeffs()
+        n = len(rows)
+        want = sympy.Matrix(n, n, sum(rows, [])).charpoly().all_coeffs()
         assert [int(c) for c in got] == [int(c) for c in want]
 
     def test_determinant_is_constant_term_sign(self):

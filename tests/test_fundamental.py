@@ -1,6 +1,7 @@
 """Unit tests for the fundamental module, critical groups, and spectra."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,14 @@ from graphalg.network import Network, laplacian_matrix
 from graphalg.partial_graph import PartialGraph, bipartite_double_cover
 
 nonzero_fractions = st.fractions(-5, 5, max_denominator=4).filter(bool)
+
+
+def monic_with_roots(roots):
+    """Coefficients of prod (z - r), highest degree first."""
+    p = [1]
+    for r in roots:
+        p = [a - r * b for a, b in zip(p + [0], [0] + p)]
+    return p
 
 
 @st.composite
@@ -131,6 +140,17 @@ class TestSpectra:
         p = laplacian_charpoly(Network.standard(cycle(5)))
         assert p[-1] == 0
         assert eigen_multiplicity(Network.standard(cycle(5)), 0) == 1
+
+    def test_cube_charpoly_closed_form(self):
+        # L(Q_6) has eigenvalue 2k with multiplicity C(6, k)
+        roots = [2 * k for k in range(7) for _ in range(comb(6, k))]
+        p = laplacian_charpoly(Network.standard(cube(6)))
+        assert p == monic_with_roots(roots)
+
+    def test_complete_graph_charpoly_closed_form(self):
+        # L(K_32) = 32 I - J: eigenvalue 0 once and 32 thirty-one times
+        p = laplacian_charpoly(Network.standard(complete_graph(32)))
+        assert p == monic_with_roots([0] + [32] * 31)
 
     def test_eigen_multiplicity_K4(self):
         # spectrum of L(K_4): 0, 4, 4, 4
