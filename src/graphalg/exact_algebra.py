@@ -2,11 +2,14 @@
 
 Everything here is pure integer/rational arithmetic (``int`` and
 ``fractions.Fraction``); no floating point is used anywhere.  The main
-entry points are the Smith normal form diagonal (:func:`smith_diagonal`,
-computed modulo a nonzero minor so that entries stay bounded), cokernel
-and kernel decompositions of integer matrices, exact rank and
-determinant (one integer Bareiss elimination), and characteristic
-polynomials (one division-free Berkowitz pass on the same int rows).
+entry points are the Smith normal form diagonal (:func:`smith_diagonal`:
+a sparse elimination on +-1 pivots, whose entries stay minors of the
+input, then the dense remnant modulo a nonzero minor, so that entries
+stay bounded), cokernel and kernel decompositions of integer matrices
+(also read off a known diagonal by the ``*_from_snf`` helpers), exact
+rank and determinant (one integer Bareiss elimination), and
+characteristic polynomials (one division-free Berkowitz pass on the
+same int rows).
 :func:`snf` adds the unimodular transforms U and V as a certificate
 for small inputs.
 
@@ -17,6 +20,7 @@ invariant factors, e.g. ``Z^2 + Z/3 + Z/15``.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -464,17 +468,97 @@ def smith_diagonal(A):
     ``(diagonal, rank)`` with ``diagonal = (d1, ..., dr, 0, ...)`` of
     length min(rows, cols) and d1 | d2 | ... | dr.
 
-    This is the production Smith route.  D = |last Bareiss pivot| is a
-    nonzero r x r minor, hence a multiple of d1 * ... * dr.  The columns
-    of [A | D*I] span a lattice with invariants gcd(di, D) = di (and D
-    for the rows past r), so elimination may reduce every entry to a
-    symmetric residue mod D: no working entry ever exceeds D/2 in
-    absolute value (Kannan-Bachem 1979, Domich-Kannan-Trotter 1987).
-    Only the diagonal is computed; :func:`snf` gives U and V.
+    This is the production Smith route, in two phases on the rows held
+    as sparse ``{column: int}`` dicts.  The unit phase repeatedly takes
+    a +-1 entry of least Markowitz cost (row count - 1)(column count - 1),
+    clears its column by integer row operations and drops its row and
+    column, recording a diagonal 1.  After k such pivots every remaining
+    entry is +- a (k+1) x (k+1) minor of A (the pivot block has
+    determinant +-1), so entries stay within Hadamard's bound.  The
+    dense remnant then goes to :func:`_smith_mod_D`, and the rank is k
+    plus the remnant's.  Only the diagonal is computed; :func:`snf`
+    gives U and V.
     """
-    M = _require_integer(A)
-    m, n = A.rows, A.cols
-    size = min(m, n)
+    rows = [{j: x for j, x in enumerate(r) if x} for r in _require_integer(A)]
+    return _smith_rows(rows, A.cols)
+
+
+def _smith_rows(rows, cols):
+    """:func:`smith_diagonal` of the matrix with ``cols`` columns whose
+    rows are the sparse int dicts ``rows`` (consumed)."""
+    size = min(len(rows), cols)
+    k, rest = _unit_pivots(rows)
+    used = sorted(set().union(*rest))
+    diagonal = (1,) * k + _smith_mod_D(
+        [[r.get(j, 0) for j in used] for r in rest if r]
+    )
+    rank = len(diagonal)
+    return diagonal + (0,) * (size - rank), rank
+
+
+def _unit_pivots(rows):
+    """Eliminate on +-1 pivots of least Markowitz cost in the sparse
+    int rows ``rows`` (changed in place).  Returns the number k of
+    pivots and the rows left, with the pivot columns gone from them."""
+    live = dict(enumerate(rows))
+    where = {}  # column -> live rows with an entry there
+    for i, r in live.items():
+        for j in r:
+            where.setdefault(j, set()).add(i)
+    heap = []
+    for i, r in live.items():
+        n = len(r) - 1
+        heap += [
+            (n * (len(where[j]) - 1), i, j)
+            for j, x in r.items()
+            if x == 1 or x == -1
+        ]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    k = 0
+    while heap:
+        old, i, c = pop(heap)
+        top = live.get(i)
+        if top is None or top.get(c) not in (1, -1):
+            continue
+        now = (len(top) - 1) * (len(where[c]) - 1)
+        if now > old:
+            push(heap, (now, i, c))
+            continue
+        del live[i]
+        u = top.pop(c)
+        for j in top:
+            where[j].discard(i)
+        below = where.pop(c)
+        below.discard(i)
+        for t in below:
+            r = live[t]
+            f = r.pop(c) * u  # u = 1/u, so r - f*top clears column c
+            for j, x in top.items():
+                v = r.get(j, 0) - f * x
+                if v:
+                    r[j] = v
+                    where[j].add(t)
+                    if v == 1 or v == -1:
+                        push(heap, ((len(r) - 1) * (len(where[j]) - 1), t, j))
+                else:
+                    del r[j]
+                    where[j].discard(t)
+        k += 1
+    return k, list(live.values())
+
+
+def _smith_mod_D(M):
+    """The nonzero Smith invariants (d1, ..., dr) of the dense int rows
+    ``M``, eliminated modulo a nonzero minor.
+
+    D = |last Bareiss pivot| is a nonzero r x r minor, hence a multiple
+    of d1 * ... * dr.  The columns of [M | D*I] span a lattice with
+    invariants gcd(di, D) = di (and D for the rows past r), so
+    elimination may reduce every entry to a symmetric residue mod D: no
+    working entry ever exceeds D/2 in absolute value (Kannan-Bachem
+    1979, Domich-Kannan-Trotter 1987).
+    """
     rank, _, pivot = _bareiss([row[:] for row in M])
     D = abs(pivot)
     h = (D - 1) // 2
@@ -548,28 +632,37 @@ def smith_diagonal(A):
                 break
         diagonal.append(p)
         rows = [r[1:] for r in rows[1:]]
-    # invariants of [A | D*I]: the chain of the pivots' gcds with D,
+    # invariants of [M | D*I]: the chain of the pivots' gcds with D,
     # then D once for every row left without a pivot
     chain = _invariant_chain(gcd(p, D) for p in diagonal)
     full = [1] * (len(diagonal) - len(chain)) + chain
-    full += [D] * (m - len(diagonal))
-    return tuple(full[:rank]) + (0,) * (size - rank), rank
+    full += [D] * (len(M) - len(diagonal))
+    return tuple(full[:rank])
 
 
 def cokernel(A):
     """Decomposition of Z^rows / (column space of A)."""
-    diagonal, rank = smith_diagonal(A)
-    factors = [d for d in diagonal if d > 1]
-    return ModuleDecomposition(A.rows - rank, tuple(factors))
+    return cokernel_from_snf(*smith_diagonal(A), A.rows)
+
+
+def cokernel_from_snf(diagonal, rank, rows):
+    """``cokernel`` of a matrix with ``rows`` rows, read off its Smith
+    diagonal and rank."""
+    return ModuleDecomposition(rows - rank, tuple(d for d in diagonal if d > 1))
 
 
 def kernel_mod_n(A, n):
     """Decomposition of {x in (Z/n)^cols : A x = 0 mod n}."""
+    return kernel_mod_n_from_snf(smith_diagonal(A)[0], A.cols, n)
+
+
+def kernel_mod_n_from_snf(diagonal, cols, n):
+    """``kernel_mod_n`` of a matrix with ``cols`` columns, read off its
+    Smith diagonal."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    diagonal, _ = smith_diagonal(A)
     orders = []
-    for j in range(A.cols):
+    for j in range(cols):
         d = diagonal[j] if j < len(diagonal) else 0
         orders.append(n if d == 0 else gcd(d, n))
     return ModuleDecomposition.from_cyclic_orders(orders)

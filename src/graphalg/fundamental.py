@@ -16,12 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_algebra import (
-    ExactMatrix,
     ModuleDecomposition,
     _bareiss,
     _integer_rows,
+    _smith_rows,
     charpoly,
     cokernel,
+    cokernel_from_snf,
     determinant,
     poly_divides,
 )
@@ -29,6 +30,8 @@ from .network import (
     Network,
     U0_QmodZ,
     integer_interior_block,
+    interior_rows,
+    interior_smith,
     is_nondegenerate,
     laplacian_matrix,
 )
@@ -38,7 +41,6 @@ from .partial_graph import validate_morphism
 @dataclass(frozen=True)
 class UpsilonReport:
     decomposition: ModuleDecomposition
-    presentation: ExactMatrix  # the V x V° Laplacian block
     nondegenerate: bool
 
     @property
@@ -48,18 +50,18 @@ class UpsilonReport:
 
 def upsilon(N):
     """Decomposition of Upsilon(G, L) for an integer-weight network."""
-    block = integer_interior_block(N)
-    decomposition = cokernel(block)
+    G = N.graph
+    decomposition = cokernel_from_snf(*interior_smith(N), len(G.vertices))
     # free rank |V| - rank equals |boundary| iff rank = |interior|
-    nondeg = decomposition.free_rank == len(N.graph.boundary)
-    return UpsilonReport(decomposition, block, nondeg)
+    nondeg = decomposition.free_rank == len(G.boundary)
+    return UpsilonReport(decomposition, nondeg)
 
 
 def upsilon_reduced(N):
     """Decomposition of the reduced module ker(eps) / L(ZV°) for a
     normalized network, in the chain basis {x_i - x_0} with x_0 the
     lowest vertex id."""
-    block = integer_interior_block(N)
+    rows = interior_rows(N)
     if not N.is_normalized():
         raise ValueError("normalized network (d = 0) required")
     G = N.graph
@@ -67,11 +69,9 @@ def upsilon_reduced(N):
         return ModuleDecomposition(0, ())
     # with d = 0 every column sums to zero, so a column lies in ker(eps)
     # and its coordinates off x_0 are its coefficients in the basis
-    # {x_i - x_0}: drop the x_0 row.
-    x0 = G.vertices[0]
-    rows = [i for i, v in enumerate(G.vertices) if v != x0]
-    reduced = block.submatrix(rows, range(block.cols))
-    return cokernel(reduced)
+    # {x_i - x_0}: drop the x_0 row, the first.
+    del rows[0]
+    return cokernel_from_snf(*_smith_rows(rows, len(G.interior)), len(rows))
 
 
 def critical_group(G):

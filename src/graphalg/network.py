@@ -8,7 +8,8 @@ Laplacian acts on vertex functions by
               w(e) (u(x) - u(head of e)).
 
 Harmonic-function modules are computed with coefficients in Z/n or the
-torsion module Q/Z, via the exact kernels in :mod:`exact_algebra`.
+torsion module Q/Z, read off the Smith diagonal of the interior block,
+which is built once as sparse int rows (:func:`interior_rows`).
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from .exact_algebra import (
     Mod,
     _bareiss,
     _integer_rows,
-    kernel_QmodZ_torsion,
-    kernel_mod_n,
+    _smith_rows,
+    kernel_mod_n_from_snf,
+    kernel_QmodZ_from_snf,
 )
 from .partial_graph import COLLAPSED, EDGE, PartialGraph, validate_morphism
 
@@ -172,6 +174,35 @@ def integer_interior_block(N):
     return interior_block(N).to_integer()
 
 
+def interior_rows(N):
+    """The rows of ``integer_interior_block(N)`` as sparse int dicts
+    ``{column: entry}``, one per vertex in ``N.graph.vertices`` order,
+    columns numbered in ``N.graph.interior`` order and zeros left out;
+    built from the edge list with no dense matrix.  Raises the same
+    ValueError for a weight or offset that is not an integer."""
+    if not N.is_integral():
+        raise ValueError("integer weights required")
+    G = N.graph
+    column = {v: j for j, v in enumerate(G.interior)}
+    rows = {v: {} for v in G.vertices}
+    for v, j in column.items():
+        rows[v][j] = int(N.offset(v))
+    for e, t, h in G.edges:
+        w = int(N.weight(e))
+        for x, y in ((t, h), (h, t)):
+            if x in column:
+                j = column[x]
+                rows[x][j] += w
+                rows[y][j] = rows[y].get(j, 0) - w
+    return [{j: x for j, x in r.items() if x} for r in rows.values()]
+
+
+def interior_smith(N):
+    """``smith_diagonal(integer_interior_block(N))``, run on
+    :func:`interior_rows`."""
+    return _smith_rows(interior_rows(N), len(N.graph.interior))
+
+
 def apply_L(N, u):
     """Lu as a VertexFunction; u may be valued in Z, Q, or Z/n."""
     G = N.graph
@@ -229,15 +260,15 @@ def is_nondegenerate(N):
 
 def U0_mod_n(N, n):
     """Decomposition of U0(G, L, Z/n)."""
-    return kernel_mod_n(integer_interior_block(N), n)
+    diagonal, _ = interior_smith(N)
+    return kernel_mod_n_from_snf(diagonal, len(N.graph.interior), n)
 
 
 def U0_QmodZ(N):
     """Decomposition of the finite group U0(G, L, Q/Z); requires a
     non-degenerate network."""
-    block = integer_interior_block(N)
     try:
-        return kernel_QmodZ_torsion(block)
+        return kernel_QmodZ_from_snf(*interior_smith(N), len(N.graph.interior))
     except DivisibleKernelError:
         raise ValueError(
             "degenerate network: U0 over Q/Z is not finite"

@@ -7,7 +7,7 @@ pair of oriented edges ``(eid, +1)`` and ``(eid, -1)``, and reversal
 flips the sign.  ``star(x)`` is the set of oriented edges pointed away
 from x, so loops contribute both orientations.  A graph builds its edge
 map and its stars once, on first use, and hands out read-only views of
-them.
+them; a morphism does the same with its vertex and edge maps.
 
 Morphisms may collapse edges to vertices; :func:`validate_morphism`
 checks the local constant-fiber-size condition and returns the local
@@ -213,21 +213,31 @@ class DGraphMorphism:
         object.__setattr__(self, "vertex_map", tuple(sorted(vertex_map.items())))
         object.__setattr__(self, "edge_map", tuple(sorted(edge_map.items())))
 
+    @cached_property
+    def _vmap(self):
+        return dict(self.vertex_map)
+
+    @cached_property
+    def _emap(self):
+        return dict(self.edge_map)
+
     @property
     def vmap(self):
-        return dict(self.vertex_map)
+        """Read-only map source vertex -> target vertex."""
+        return MappingProxyType(self._vmap)
 
     @property
     def emap(self):
-        return dict(self.edge_map)
+        """Read-only map source eid -> edge image."""
+        return MappingProxyType(self._emap)
 
     def vertex_image(self, x):
-        return self.vmap[x]
+        return self._vmap[x]
 
     def oriented_image(self, oe):
         """Image of an oriented edge: ("edge", (eid, sign)) or ("vertex", v)."""
         eid, s = oe
-        img = self.emap[eid]
+        img = self._emap[eid]
         if img[0] == COLLAPSED:
             return img
         _, teid, tsign = img
@@ -243,7 +253,8 @@ class DGraphMorphism:
         return out
 
     def vertex_fiber(self, y):
-        return [x for x in self.source.vertices if self.vmap[x] == y]
+        vmap = self._vmap
+        return [x for x in self.source.vertices if vmap[x] == y]
 
 
 def identity_morphism(G):
@@ -268,8 +279,9 @@ def validate_morphism(f):
         raise ValueError("vertex map is not total")
     if set(emap) != set(G.edge_ids):
         raise ValueError("edge map is not total")
+    targets = set(H.vertices)
     for x, y in vmap.items():
-        if y not in set(H.vertices):
+        if y not in targets:
             raise ValueError(f"vertex {x} maps outside the target")
         if x not in G.boundary and y in H.boundary:
             raise ValueError(f"interior vertex {x} maps to boundary vertex {y}")

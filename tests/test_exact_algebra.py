@@ -13,6 +13,7 @@ from graphalg.exact_algebra import (
     ExactMatrix,
     Mod,
     ModuleDecomposition,
+    _unit_pivots,
     charpoly,
     cokernel,
     determinant,
@@ -60,6 +61,37 @@ def multigraph_blocks(draw):
     if draw(st.booleans()):
         return laplacian_matrix(N)
     return interior_block(N)
+
+
+@st.composite
+def sparse_networks(draw, sizes=(10, 20), weight=st.integers(1, 3)):
+    """A random sparse multigraph network: about as many edges as
+    vertices, parallel edges, weights drawn from ``weight`` and a random
+    boundary."""
+    nv = draw(st.integers(*sizes))
+    vertex = st.integers(0, nv - 1)
+    ends = draw(
+        st.lists(
+            st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+            min_size=nv - 1,
+            max_size=nv + nv // 2,
+        )
+    )
+    weights = draw(st.lists(weight, min_size=len(ends), max_size=len(ends)))
+    boundary = draw(st.sets(vertex, max_size=3))
+    G = PartialGraph(range(nv), boundary, dict(enumerate(ends)))
+    return Network(G, dict(enumerate(weights)))
+
+
+def sympy_smith(A):
+    """(diagonal, rank) of smith_diagonal's form, from sympy's
+    invariant factors."""
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import invariant_factors
+
+    want = invariant_factors(Matrix([list(r) for r in A.data]), domain=ZZ)
+    nonzero = tuple(int(abs(d)) for d in want if d)
+    return nonzero + (0,) * (min(A.rows, A.cols) - len(nonzero)), len(nonzero)
 
 
 class TestMod:
@@ -204,6 +236,48 @@ class TestSmithDiagonal:
     def test_rejects_fractions(self):
         with pytest.raises(ValueError):
             smith_diagonal(ExactMatrix([[Fraction(1, 2)]]))
+
+
+class TestUnitPhase:
+    """The sparse +-1 phase of smith_diagonal, against outside oracles."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_networks(), st.booleans())
+    def test_sparse_blocks_match_sympy(self, N, full):
+        # full=True gives the rank-deficient full Laplacian
+        A = laplacian_matrix(N) if full else interior_block(N)
+        assert smith_diagonal(A) == sympy_smith(A)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_networks(sizes=(3, 7)), st.booleans())
+    def test_small_blocks_match_snf(self, N, full):
+        A = laplacian_matrix(N) if full else interior_block(N)
+        result = snf(A)
+        assert smith_diagonal(A) == (result.diagonal, result.rank)
+
+    @settings(max_examples=25, deadline=None)
+    @given(sparse_networks(sizes=(6, 14), weight=st.just(2)), st.booleans())
+    def test_no_unit_pivot(self, N, full):
+        # every entry is even: the remnant is the whole block
+        A = laplacian_matrix(N) if full else interior_block(N)
+        rows = [{j: x for j, x in enumerate(r) if x} for r in A.data]
+        k, rest = _unit_pivots([dict(r) for r in rows])
+        assert k == 0 and rest == rows
+        assert smith_diagonal(A) == sympy_smith(A)
+        if A.rows <= 8:
+            result = snf(A)
+            assert smith_diagonal(A) == (result.diagonal, result.rank)
+
+    def test_pivots_are_counted_in_the_diagonal(self):
+        # a path with both ends on the boundary strips to nothing: every
+        # invariant is a unit pivot
+        G = PartialGraph(range(6), {0, 5}, {i: (i, i + 1) for i in range(5)})
+        A = interior_block(Network.standard(G))
+        k, rest = _unit_pivots(
+            [{j: x for j, x in enumerate(r) if x} for r in A.data]
+        )
+        assert k == 4 and not any(rest)
+        assert smith_diagonal(A) == ((1, 1, 1, 1), 4)
 
 
 class TestCokernel:

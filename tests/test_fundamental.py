@@ -124,6 +124,14 @@ class TestCriticalGroup:
     def test_cayley_formula(self):
         assert spanning_tree_count(complete_graph(6)) == 6**4
 
+    def test_cube_7(self):
+        # Q_n has 2^(2^n - n - 1) * prod k^C(n, k) spanning trees
+        torsion = critical_group(cube(7))
+        assert len(torsion.invariant_factors) == 63
+        trees = 2 ** (2**7 - 7 - 1)
+        for k in range(1, 8):
+            trees *= k ** comb(7, k)
+        assert torsion.torsion_order == trees
 
 class TestTorsionCrosscheck:
     def test_three_routes_agree(self):

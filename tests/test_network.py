@@ -3,9 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphalg.exact_algebra import ExactMatrix, Mod
-from graphalg.families import complete_bipartite_bi, cycle
+from graphalg.exact_algebra import (
+    DivisibleKernelError,
+    ExactMatrix,
+    Mod,
+    cokernel,
+    kernel_QmodZ_torsion,
+    kernel_mod_n,
+)
+from graphalg.families import clf, complete_bipartite_bi, cycle
+from graphalg.fundamental import upsilon, upsilon_reduced
 from graphalg.network import (
     Network,
     U0_QmodZ,
@@ -13,7 +23,9 @@ from graphalg.network import (
     VertexFunction,
     apply_L,
     in_U0,
+    integer_interior_block,
     interior_block,
+    interior_rows,
     is_harmonic,
     is_nondegenerate,
     laplacian_matrix,
@@ -23,6 +35,32 @@ from graphalg.network import (
     validate_network_morphism,
 )
 from graphalg.partial_graph import PartialGraph, bipartite_double_cover, identity_morphism
+from graphalg.verify import _clf_expected
+
+
+@st.composite
+def integer_networks(draw):
+    """A random network on 1-9 vertices with parallel edges, nonzero
+    integer weights (some as Fractions with denominator 1) and integer
+    offsets."""
+    nv = draw(st.integers(1, 9))
+    vertex = st.integers(0, nv - 1)
+    ends = draw(
+        st.lists(
+            st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+            max_size=2 * nv,
+        )
+    )
+    scalar = st.integers(-3, 3).flatmap(
+        lambda x: st.sampled_from([x, Fraction(x)])
+    )
+    weights = draw(
+        st.lists(scalar.filter(bool), min_size=len(ends), max_size=len(ends))
+    )
+    offsets = draw(st.lists(scalar, min_size=nv, max_size=nv))
+    boundary = draw(st.sets(vertex, max_size=3))
+    G = PartialGraph(range(nv), boundary, dict(enumerate(ends)))
+    return Network(G, dict(enumerate(weights)), dict(enumerate(offsets)))
 
 
 def path3(boundary=(0, 2)):
@@ -84,6 +122,11 @@ class TestU0:
         assert U0_mod_n(N, 2).torsion_order == 4
         assert str(U0_QmodZ(N)) == "Z/2 + Z/2"
 
+    def test_QmodZ_on_clf_80_6(self):
+        # the chain-link fence closed form, past verify's m <= 40
+        N = Network.standard(clf(80, 6))
+        assert U0_QmodZ(N) == _clf_expected(80, 6)
+
     def test_degenerate_network_rejected(self):
         # cycle with no boundary: constants lie in the kernel
         N = Network.standard(cycle(4))
@@ -101,6 +144,56 @@ class TestU0:
         assert not in_U0(
             N, VertexFunction({v: Mod(int(v == 2), 2) for v in range(5)})
         )
+
+
+class TestSparseRoute:
+    """The interior block as sparse rows, and the modules read off its
+    Smith diagonal, against the dense block."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_networks())
+    def test_interior_rows_match_dense_block(self, N):
+        block = integer_interior_block(N)
+        rows = interior_rows(N)
+        assert len(rows) == block.rows
+        assert all(x for r in rows for x in r.values())
+        dense = tuple(
+            tuple(r.get(j, 0) for j in range(block.cols)) for r in rows
+        )
+        assert dense == block.data
+
+    def test_interior_rows_require_integers(self):
+        G = path3()
+        N = Network(G, {0: Fraction(1, 2), 1: 1})
+        with pytest.raises(ValueError, match="integer weights required"):
+            interior_rows(N)
+        with pytest.raises(ValueError, match="integer weights required"):
+            U0_mod_n(N, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_networks(), st.integers(2, 12))
+    def test_sparse_route_matches_dense_kernels(self, N, n):
+        block = integer_interior_block(N)
+        assert U0_mod_n(N, n) == kernel_mod_n(block, n)
+        try:
+            want = kernel_QmodZ_torsion(block)
+        except DivisibleKernelError:
+            with pytest.raises(ValueError, match="degenerate"):
+                U0_QmodZ(N)
+        else:
+            assert U0_QmodZ(N) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_networks())
+    def test_upsilon_matches_dense_cokernel(self, N):
+        block = integer_interior_block(N)
+        report = upsilon(N)
+        assert report.decomposition == cokernel(block)
+        assert report.nondegenerate == is_nondegenerate(N)
+        if N.is_normalized() and N.graph.vertices:
+            rows = range(1, block.rows)
+            reduced = block.submatrix(rows, range(block.cols))
+            assert upsilon_reduced(N) == cokernel(reduced)
 
 
 class TestFunctoriality:

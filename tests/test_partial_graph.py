@@ -131,6 +131,19 @@ class TestMorphisms:
         assert cover.is_connected()
         assert all(cover.degree(v) == 2 for v in cover.vertices)
 
+    def test_morphism_maps_are_read_only(self):
+        G = triangle()
+        cover, f = bipartite_double_cover(G)
+        assert f.vmap == dict(f.vertex_map)
+        with pytest.raises(TypeError):
+            f.vmap[0] = 1
+        with pytest.raises(TypeError):
+            f.emap[0] = (EDGE, 1, 1)
+        assert f.emap == dict(f.edge_map)
+        assert [f.vertex_image(x) for x in cover.vertices] == [
+            y for _, y in f.vertex_map
+        ]
+
     def test_compose_covering_with_identity(self):
         G = triangle()
         cover, f = bipartite_double_cover(G)
