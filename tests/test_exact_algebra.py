@@ -39,48 +39,27 @@ small_matrices = st.integers(1, 4).flatmap(
 
 
 @st.composite
-def multigraph_blocks(draw):
+def multigraph_blocks(draw, sizes=(12, 14), edges=(1, 3), weight=st.integers(1, 3)):
     """The interior block, or the rank-deficient full Laplacian, of a
-    random multigraph with 12-14 vertices, parallel edges, weights
-    1..3 and a random boundary."""
-    nv = draw(st.integers(12, 14))
+    random multigraph with ``sizes`` vertices, ``edges`` times as many
+    edges (parallel ones allowed), weights drawn from ``weight`` and a
+    random boundary."""
+    nv = draw(st.integers(*sizes))
     vertex = st.integers(0, nv - 1)
     ends = draw(
         st.lists(
             st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
-            min_size=nv,
-            max_size=3 * nv,
+            min_size=int(edges[0] * nv),
+            max_size=int(edges[1] * nv),
         )
     )
-    weights = draw(
-        st.lists(st.integers(1, 3), min_size=len(ends), max_size=len(ends))
-    )
+    weights = draw(st.lists(weight, min_size=len(ends), max_size=len(ends)))
     boundary = draw(st.sets(vertex, max_size=4))
     G = PartialGraph(range(nv), boundary, dict(enumerate(ends)))
     N = Network(G, dict(enumerate(weights)))
     if draw(st.booleans()):
         return laplacian_matrix(N)
     return interior_block(N)
-
-
-@st.composite
-def sparse_networks(draw, sizes=(10, 20), weight=st.integers(1, 3)):
-    """A random sparse multigraph network: about as many edges as
-    vertices, parallel edges, weights drawn from ``weight`` and a random
-    boundary."""
-    nv = draw(st.integers(*sizes))
-    vertex = st.integers(0, nv - 1)
-    ends = draw(
-        st.lists(
-            st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
-            min_size=nv - 1,
-            max_size=nv + nv // 2,
-        )
-    )
-    weights = draw(st.lists(weight, min_size=len(ends), max_size=len(ends)))
-    boundary = draw(st.sets(vertex, max_size=3))
-    G = PartialGraph(range(nv), boundary, dict(enumerate(ends)))
-    return Network(G, dict(enumerate(weights)))
 
 
 def sympy_smith(A):
@@ -197,19 +176,16 @@ class TestSmithDiagonal:
         result = snf(A)
         assert smith_diagonal(A) == (result.diagonal, result.rank)
 
-    @settings(max_examples=40, deadline=None)
-    @given(multigraph_blocks())
-    def test_matches_sympy_on_laplacian_blocks(self, A):
-        from sympy import Matrix, ZZ
-        from sympy.matrices.normalforms import invariant_factors
-
-        want = invariant_factors(Matrix([list(r) for r in A.data]), domain=ZZ)
-        want = tuple(int(abs(d)) for d in want)
-        diagonal, rank = smith_diagonal(A)
-        assert rank == sum(1 for d in want if d)
-        assert diagonal == tuple(d for d in want if d) + (0,) * (
-            len(diagonal) - rank
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            multigraph_blocks(),
+            # sparse: most of the block goes in the unit phase
+            multigraph_blocks(sizes=(10, 20), edges=(1, 1.5)),
         )
+    )
+    def test_matches_sympy_on_laplacian_blocks(self, A):
+        assert smith_diagonal(A) == sympy_smith(A)
 
     def test_entry_growth_regression(self):
         # working entries of snf's pivot loop grow without bound here:
@@ -241,32 +217,25 @@ class TestSmithDiagonal:
 class TestUnitPhase:
     """The sparse +-1 phase of smith_diagonal, against outside oracles."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(sparse_networks(), st.booleans())
-    def test_sparse_blocks_match_sympy(self, N, full):
-        # full=True gives the rank-deficient full Laplacian
-        A = laplacian_matrix(N) if full else interior_block(N)
-        assert smith_diagonal(A) == sympy_smith(A)
-
     @settings(max_examples=60, deadline=None)
-    @given(sparse_networks(sizes=(3, 7)), st.booleans())
-    def test_small_blocks_match_snf(self, N, full):
-        A = laplacian_matrix(N) if full else interior_block(N)
+    @given(
+        st.one_of(
+            multigraph_blocks(sizes=(3, 7), edges=(1, 1.5)),
+            multigraph_blocks(sizes=(3, 7), edges=(1, 1.5), weight=st.just(2)),
+        )
+    )
+    def test_small_blocks_match_snf(self, A):
         result = snf(A)
         assert smith_diagonal(A) == (result.diagonal, result.rank)
 
     @settings(max_examples=25, deadline=None)
-    @given(sparse_networks(sizes=(6, 14), weight=st.just(2)), st.booleans())
-    def test_no_unit_pivot(self, N, full):
+    @given(multigraph_blocks(sizes=(6, 14), weight=st.just(2)))
+    def test_no_unit_pivot(self, A):
         # every entry is even: the remnant is the whole block
-        A = laplacian_matrix(N) if full else interior_block(N)
         rows = [{j: x for j, x in enumerate(r) if x} for r in A.data]
         k, rest = _unit_pivots([dict(r) for r in rows])
         assert k == 0 and rest == rows
         assert smith_diagonal(A) == sympy_smith(A)
-        if A.rows <= 8:
-            result = snf(A)
-            assert smith_diagonal(A) == (result.diagonal, result.rank)
 
     def test_pivots_are_counted_in_the_diagonal(self):
         # a path with both ends on the boundary strips to nothing: every

@@ -133,6 +133,7 @@ class TestCriticalGroup:
             trees *= k ** comb(7, k)
         assert torsion.torsion_order == trees
 
+
 class TestTorsionCrosscheck:
     def test_three_routes_agree(self):
         assert torsion_crosscheck(Network.standard(complete_bipartite_bi(3, 4)))
