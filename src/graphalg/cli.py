@@ -401,6 +401,8 @@ def _cmd_dual(args):
 def _cmd_conjugate(args):
     doc = _read_document(args)
     EG = _require_embedding(doc)
+    if args.mod is not None and args.mod < 2:
+        raise ValueError("modulus must be >= 2")
     values = {}
     with open(args.values) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -409,7 +411,7 @@ def _cmd_conjugate(args):
                 continue
             v, val = line.split()
             scalar = _parse_scalar(val, line_no)
-            if args.mod:
+            if args.mod is not None:
                 scalar = Mod(scalar, args.mod)
             values[int(v)] = scalar
     v, D = harmonic_conjugate(doc.network, EG, values)
@@ -442,7 +444,10 @@ def _cmd_charpoly(args):
 
 def _cmd_eigmult(args):
     doc = _read_document(args)
-    lam = Fraction(args.eigenvalue)
+    try:
+        lam = Fraction(args.eigenvalue)
+    except ZeroDivisionError:
+        raise ValueError(f"bad eigenvalue {args.eigenvalue!r}") from None
     mult = eigen_multiplicity(doc.network, lam)
     _emit(
         args,

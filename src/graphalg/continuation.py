@@ -224,6 +224,8 @@ def complementary_plan(N, S):
     discovery order with the spike roles swapped."""
     G = N.graph
     S = sorted(S)
+    if len(set(S)) != len(S):
+        raise ValueError("S has a repeated vertex")
     Gp = interiorize(G, S)
     remnant, strip_ops = strip_layerable(
         Gp, "G_{S->boundary} is not layerable"

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_algebra import (
+    ExactMatrix,
     ModuleDecomposition,
     _bareiss,
-    _integer_rows,
     _smith_rows,
     charpoly,
     cokernel,
@@ -29,11 +29,10 @@ from .exact_algebra import (
 from .network import (
     Network,
     U0_QmodZ,
-    integer_interior_block,
+    _dense_rows,
     interior_rows,
     interior_smith,
     is_nondegenerate,
-    laplacian_matrix,
 )
 from .partial_graph import validate_morphism
 
@@ -91,7 +90,8 @@ def torsion_crosscheck(N):
     Returns True when all agree (requires non-degeneracy)."""
     if not is_nondegenerate(N):
         raise ValueError("non-degenerate network required")
-    block = integer_interior_block(N)
+    cols = range(len(N.graph.interior))
+    block = ExactMatrix([[r.get(j, 0) for j in cols] for r in interior_rows(N)])
     a = cokernel(block).invariant_factors
     b = cokernel(block.transpose()).invariant_factors
     c = U0_QmodZ(N).invariant_factors
@@ -107,16 +107,21 @@ def spanning_tree_count(G):
         raise ValueError("connected graph required")
     if len(G.vertices) <= 1:
         return 1
-    N = Network.standard(G)
-    full = laplacian_matrix(N)
-    keep = list(range(1, len(G.vertices)))
-    return int(determinant(full.submatrix(keep, keep)))
+    keep = G.vertices[1:]
+    rows = _dense_rows(Network.standard(G), keep, keep)
+    return int(determinant(ExactMatrix(rows)))
 
 
 def laplacian_charpoly(N):
     """Monic characteristic polynomial det(zI - L), highest degree first."""
-    full = laplacian_matrix(N)
-    return charpoly(full.to_integer())
+    V = N.graph.vertices
+    s = N._laplacian[1]
+    rows = _dense_rows(N, V, V)
+    if s != 1:
+        if any(a % s for r in rows for a in r):
+            raise ValueError("matrix has non-integer entries")
+        rows = [[a // s for a in r] for r in rows]
+    return charpoly(ExactMatrix(rows))
 
 
 def eigen_multiplicity(N, lam):
@@ -124,14 +129,13 @@ def eigen_multiplicity(N, lam):
     (nullity of lam*I - L)."""
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
-    full = laplacian_matrix(N)
-    # q*lam*I - q*L has the rank of lam*I - L; its rows are int once
-    # cleared of any denominators that Fraction weights bring
-    rows, _ = _integer_rows(
-        [(p if i == j else 0) - q * x for j, x in enumerate(row)]
-        for i, row in enumerate(full.data)
-    )
-    return full.rows - _bareiss(rows)[0]
+    V = N.graph.vertices
+    L, s = N._laplacian
+    # q s (lam I - L) is int and has the rank of lam I - L
+    rows = [
+        [(p * s if y == x else 0) - q * L[x].get(y, 0) for y in V] for x in V
+    ]
+    return len(rows) - _bareiss(rows)[0]
 
 
 def charpoly_divisibility_check(f, N1, N2):

@@ -7,9 +7,11 @@ Laplacian acts on vertex functions by
     (Lu)(x) = d(x) u(x) + sum over oriented edges e with tail x of
               w(e) (u(x) - u(head of e)).
 
-Harmonic-function modules are computed with coefficients in Z/n or the
-torsion module Q/Z, read off the Smith diagonal of the interior block,
-which is built once as sparse int rows (:func:`interior_rows`).
+Each network builds L once, from its edge list, as the sparse int rows
+of s L, s the lcm of the denominators of the weights and offsets (1 on
+an integral network).  Every reader of L, from the dense views to the
+interior block whose Smith diagonal gives the modules over Z/n and
+Q/Z, works from these rows.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 
 from .exact_algebra import (
@@ -24,7 +27,6 @@ from .exact_algebra import (
     ExactMatrix,
     Mod,
     _bareiss,
-    _integer_rows,
     _smith_rows,
     kernel_mod_n_from_snf,
     kernel_QmodZ_from_snf,
@@ -65,6 +67,28 @@ class Network:
     @cached_property
     def _offset(self):
         return dict(self.offsets)
+
+    @cached_property
+    def _laplacian(self):
+        """``(rows, s)``: ``rows`` maps each vertex x, in vertex order,
+        to the sparse ``{vertex: int}`` row x of s L with zeros left out,
+        where s is the lcm of the denominators of every weight and
+        offset (1 on an integral network).  Built once and shared, so a
+        reader that changes rows copies them first."""
+        s = lcm(*{a.denominator for _, a in self.weights + self.offsets})
+        w = {e: a.numerator * (s // a.denominator) for e, a in self.weights}
+        rows = {x: {x: a.numerator * (s // a.denominator)}
+                for x, a in self.offsets}
+        for e, t, h in self.graph.edges:
+            a, rt, rh = w[e], rows[t], rows[h]
+            rt[t] += a
+            rh[h] += a
+            rt[h] = rt.get(h, 0) - a
+            rh[t] = rh.get(t, 0) - a
+        for x, row in rows.items():
+            if 0 in row.values():
+                rows[x] = {y: a for y, a in row.items() if a}
+        return rows, s
 
     @property
     def wmap(self):
@@ -141,24 +165,14 @@ def laplacian_matrix(N, row_vertices=None, col_vertices=None):
     G = N.graph
     rows = list(G.vertices) if row_vertices is None else list(row_vertices)
     cols = list(G.vertices) if col_vertices is None else list(col_vertices)
-    known = set(G.vertices)
+    known, s = N._laplacian
     for v in rows + cols:
         if v not in known:
             raise ValueError(f"unknown vertex id {v}")
-    wmap = N.wmap
-    dmap = N.dmap
-    entry = {}
-    for v in known:
-        entry[(v, v)] = dmap[v]
-    for e, t, h in G.edges:
-        w = wmap[e]
-        entry[(t, t)] += w
-        entry[(h, h)] += w
-        entry[(t, h)] = entry.get((t, h), 0) - w
-        entry[(h, t)] = entry.get((h, t), 0) - w
-    return ExactMatrix(
-        [[entry.get((r, c), 0) for c in cols] for r in rows]
-    )
+    out = _dense_rows(N, rows, cols)
+    if s != 1:
+        out = [[Fraction(a, s) for a in r] for r in out]
+    return ExactMatrix(out)
 
 
 def interior_block(N):
@@ -166,57 +180,46 @@ def interior_block(N):
     return laplacian_matrix(N, N.graph.vertices, N.graph.interior)
 
 
-def integer_interior_block(N):
-    """``interior_block(N)`` with int entries; raises ValueError when a
-    weight or offset is not an integer."""
-    if not N.is_integral():
-        raise ValueError("integer weights required")
-    return interior_block(N).to_integer()
+def _dense_rows(N, row_vertices, col_vertices):
+    """Fresh dense int rows of s L (``N._laplacian``) on the given
+    columns."""
+    L = N._laplacian[0]
+    return [[L[x].get(y, 0) for y in col_vertices] for x in row_vertices]
 
 
 def interior_rows(N):
-    """The rows of ``integer_interior_block(N)`` as sparse int dicts
+    """The rows of ``interior_block(N)`` as fresh sparse int dicts
     ``{column: entry}``, one per vertex in ``N.graph.vertices`` order,
-    columns numbered in ``N.graph.interior`` order and zeros left out;
-    built from the edge list with no dense matrix.  Raises the same
-    ValueError for a weight or offset that is not an integer."""
+    columns numbered in ``N.graph.interior`` order and zeros left out.
+    Raises ValueError when a weight or offset is not an integer."""
     if not N.is_integral():
         raise ValueError("integer weights required")
-    G = N.graph
-    column = {v: j for j, v in enumerate(G.interior)}
-    rows = {v: {} for v in G.vertices}
-    for v, j in column.items():
-        rows[v][j] = int(N.offset(v))
-    for e, t, h in G.edges:
-        w = int(N.weight(e))
-        for x, y in ((t, h), (h, t)):
-            if x in column:
-                j = column[x]
-                rows[x][j] += w
-                rows[y][j] = rows[y].get(j, 0) - w
-    return [{j: x for j, x in r.items() if x} for r in rows.values()]
+    column = {v: j for j, v in enumerate(N.graph.interior)}
+    return [
+        {column[y]: a for y, a in row.items() if y in column}
+        for row in N._laplacian[0].values()
+    ]
 
 
 def interior_smith(N):
-    """``smith_diagonal(integer_interior_block(N))``, run on
+    """``smith_diagonal(interior_block(N))``, run on
     :func:`interior_rows`."""
     return _smith_rows(interior_rows(N), len(N.graph.interior))
 
 
 def apply_L(N, u):
     """Lu as a VertexFunction; u may be valued in Z, Q, or Z/n."""
-    G = N.graph
     uv = u.vmap if isinstance(u, VertexFunction) else dict(u)
-    if set(uv) != set(G.vertices):
+    if set(uv) != set(N.graph.vertices):
         raise ValueError("vertex function must be total")
-    wmap = N.wmap
+    rows, s = N._laplacian
     out = {}
-    for x in G.vertices:
-        acc = N.dmap[x] * uv[x]
-        for oe in G.star(x):
-            w = wmap[oe[0]]
-            acc = acc + w * uv[x] - w * uv[G.o_head(oe)]
-        out[x] = acc
+    for x, row in rows.items():
+        # start from a zero of u's type, so that Z/n values stay in Z/n
+        acc = 0 * uv[x]
+        for y, a in row.items():
+            acc = acc + a * uv[y]
+        out[x] = acc if s == 1 else acc * Fraction(1, s)
     return VertexFunction(out)
 
 
@@ -239,22 +242,9 @@ def is_nondegenerate(N):
     """True iff L restricted to interior-vertex chains is injective
     (i.e. U0 with ring coefficients vanishes)."""
     G = N.graph
-    index = {v: i for i, v in enumerate(G.vertices)}
-    wmap = N.wmap
-    # the interior block as int columns, column c scaled by the lcm of
-    # the denominators of d(c) and the weights at c: the rank of the
-    # block is the rank of these columns
-    cols = []
-    for c in G.interior:
-        star = G.star(c)
-        (scaled,), _ = _integer_rows(
-            [[N.offset(c)] + [wmap[oe[0]] for oe in star]]
-        )
-        col = [0] * len(index)
-        col[index[c]] = sum(scaled)
-        for oe, w in zip(star, scaled[1:]):
-            col[index[G.o_head(oe)]] -= w
-        cols.append(col)
+    # L is symmetric, so the rows of s L at the interior vertices are
+    # s times the block's columns: they have the block's rank
+    cols = _dense_rows(N, G.interior, G.vertices)
     return _bareiss(cols)[0] == len(cols)
 
 

@@ -287,20 +287,9 @@ def verify_duality(N, EG):
     if not N.is_normalized():
         raise ValueError("duality requires a normalized network (d = 0)")
     D = dual(N, EG)
-    a = upsilon_reduced(_integralize(N))
-    b = upsilon_reduced(_integralize(D.network))
+    a = upsilon_reduced(N)
+    b = upsilon_reduced(D.network)
     return a.invariant_factors == b.invariant_factors
-
-
-def _integralize(N):
-    weights = {}
-    for e, w in N.weights:
-        if isinstance(w, Fraction):
-            if w.denominator != 1:
-                raise ValueError("unit integer weights required")
-            w = w.numerator
-        weights[e] = w
-    return Network(N.graph, weights)
 
 
 def harmonic_conjugate(N, EG, u):
@@ -313,6 +302,8 @@ def harmonic_conjugate(N, EG, u):
     G = N.graph
     Gd = D.network.graph
     uv = u.vmap if isinstance(u, VertexFunction) else dict(u)
+    if set(uv) != set(G.vertices):
+        raise ValueError("vertex function must be total")
 
     def flux(e):
         t, h = G.edge_dict[e]

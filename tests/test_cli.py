@@ -203,3 +203,37 @@ class TestCommands:
         assert main(["verify", "--suite", "paper"]) == 0
         out = capsys.readouterr().out
         assert "passed" in out
+
+
+BAD_INPUTS = {
+    "eigmult-zero-denominator": ["eigmult", "--lambda", "1/0", "{w5}"],
+    "conjugate-missing-vertex": ["conjugate", "--values", "{partial}", "{w5}"],
+    "conjugate-mod-0": ["conjugate", "--mod", "0", "--values", "{total}", "{w5}"],
+    "u0-mod-0": ["u0", "--mod", "0", "{w5}"],
+    "u0-matrix-repeated-vertex": ["u0-matrix", "--interiorize", "0,1,0", "{w5}"],
+    "upsilon-non-integral": ["upsilon", "{rational}"],
+    "loop-edge": ["upsilon", "{loop}"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_gives_an_error_line_not_a_traceback(argv, tmp_path, capsys):
+    """Exit code 1 or 2 with a message on stderr, never an exception."""
+    assert main(["family", "wheel", "5", "hub-boundary"]) == 0
+    files = {
+        "w5": capsys.readouterr().out,
+        "partial": "0 0\n",
+        "total": "".join(f"{v} {v}\n" for v in range(6)),
+        "rational": "vertex 0 boundary\nvertex 1 interior\nedge 0 0 1 w=1/2\n",
+        "loop": "vertex 0 interior\nedge 0 0 0\n",
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    code = main([a.format(**paths) for a in argv])
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert any(
+        line.startswith(("error: ", "parse error: ")) for line in err.splitlines()
+    )

@@ -24,7 +24,7 @@ from graphalg.continuation import (
     u0_via_continuation,
 )
 from graphalg.exact_algebra import ExactMatrix, Mod, ModuleDecomposition, snf
-from graphalg.families import complete_graph, cube
+from graphalg.families import complete_graph, cube, wheel
 from graphalg.layering import interiorize, is_layerable
 from graphalg.network import (
     Network,
@@ -309,6 +309,15 @@ class TestExplicitKernel:
         N = Network.standard(worked_example())
         with pytest.raises(ValueError):
             complementary_plan(N, [])
+
+    def test_repeated_vertex_in_S_rejected(self):
+        # labelling vertex 0 twice would give Z/11 + Z/11 + Z/11 here
+        N = Network.standard(wheel(5, hub_boundary=True).graph)
+        assert u0_mod_n_via_continuation(N, [0, 1], 11) == U0_mod_n(N, 11)
+        with pytest.raises(ValueError, match="repeated vertex"):
+            complementary_plan(N, [0, 1, 0])
+        with pytest.raises(ValueError, match="repeated vertex"):
+            u0_mod_n_via_continuation(N, [0, 1, 0], 11)
 
 
 class TestBounds:

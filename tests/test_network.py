@@ -10,12 +10,19 @@ from graphalg.exact_algebra import (
     DivisibleKernelError,
     ExactMatrix,
     Mod,
+    charpoly,
     cokernel,
     kernel_QmodZ_torsion,
     kernel_mod_n,
+    rank_over_Q,
 )
 from graphalg.families import clf, complete_bipartite_bi, cycle
-from graphalg.fundamental import upsilon, upsilon_reduced
+from graphalg.fundamental import (
+    eigen_multiplicity,
+    laplacian_charpoly,
+    upsilon,
+    upsilon_reduced,
+)
 from graphalg.network import (
     Network,
     U0_QmodZ,
@@ -23,7 +30,6 @@ from graphalg.network import (
     VertexFunction,
     apply_L,
     in_U0,
-    integer_interior_block,
     interior_block,
     interior_rows,
     is_harmonic,
@@ -38,11 +44,18 @@ from graphalg.partial_graph import PartialGraph, bipartite_double_cover, identit
 from graphalg.verify import _clf_expected
 
 
+INTEGER_SCALARS = st.integers(-3, 3).flatmap(
+    lambda x: st.sampled_from([x, Fraction(x)])
+)
+RATIONAL_SCALARS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
 @st.composite
-def integer_networks(draw):
+def integer_networks(draw, scalar=INTEGER_SCALARS):
     """A random network on 1-9 vertices with parallel edges, nonzero
     integer weights (some as Fractions with denominator 1) and integer
-    offsets."""
+    offsets; with ``scalar=RATIONAL_SCALARS``, rational weights and
+    offsets instead."""
     nv = draw(st.integers(1, 9))
     vertex = st.integers(0, nv - 1)
     ends = draw(
@@ -51,9 +64,6 @@ def integer_networks(draw):
             max_size=2 * nv,
         )
     )
-    scalar = st.integers(-3, 3).flatmap(
-        lambda x: st.sampled_from([x, Fraction(x)])
-    )
     weights = draw(
         st.lists(scalar.filter(bool), min_size=len(ends), max_size=len(ends))
     )
@@ -61,6 +71,28 @@ def integer_networks(draw):
     boundary = draw(st.sets(vertex, max_size=3))
     G = PartialGraph(range(nv), boundary, dict(enumerate(ends)))
     return Network(G, dict(enumerate(weights)), dict(enumerate(offsets)))
+
+
+def oracle_laplacian(N):
+    """L = D + sum over edges e of w(e) (e_t - e_h)(e_t - e_h)^T, built
+    from the edge list as dense Fraction rows in vertex order."""
+    V = N.graph.vertices
+    pos = {v: i for i, v in enumerate(V)}
+    L = [[Fraction(0)] * len(V) for _ in V]
+    for v in V:
+        L[pos[v]][pos[v]] += N.offset(v)
+    for e, t, h in N.graph.edges:
+        for a, sa in ((t, 1), (h, -1)):
+            for b, sb in ((t, 1), (h, -1)):
+                L[pos[a]][pos[b]] += sa * sb * N.weight(e)
+    return L
+
+
+def oracle_interior_block(N):
+    """The V x V° block of :func:`oracle_laplacian` as an int matrix."""
+    L = oracle_laplacian(N)
+    cols = [N.graph.vertices.index(c) for c in N.graph.interior]
+    return ExactMatrix([[int(row[j]) for j in cols] for row in L])
 
 
 def path3(boundary=(0, 2)):
@@ -146,14 +178,70 @@ class TestU0:
         )
 
 
+class TestOracle:
+    """Every reader of the Laplacian against L built from the edge list."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(integer_networks(), integer_networks(RATIONAL_SCALARS)),
+        st.data(),
+    )
+    def test_laplacian_matches_edge_sum_oracle(self, N, data):
+        L = oracle_laplacian(N)
+        V = N.graph.vertices
+        assert [list(r) for r in laplacian_matrix(N).data] == L
+        if N.is_integral():
+            assert interior_rows(N) == [
+                {j: x for j, x in enumerate(r) if x}
+                for r in oracle_interior_block(N).data
+            ]
+        else:
+            with pytest.raises(ValueError, match="integer weights required"):
+                interior_rows(N)
+        u = {v: data.draw(st.integers(-5, 5)) for v in V}
+        want = [sum(a * u[y] for a, y in zip(row, V)) for row in L]
+        assert [apply_L(N, u)(x) for x in V] == want
+        # over Z/101, where the denominators 1..4 are units
+        Lu = apply_L(N, {y: Mod(u[y], 101) for y in V})
+        assert [Lu(x) for x in V] == [Mod(w, 101) for w in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(integer_networks(), integer_networks(RATIONAL_SCALARS)),
+        st.fractions(max_denominator=3).filter(lambda x: abs(x) <= 6),
+    )
+    def test_rank_readers_match_edge_sum_oracle(self, N, lam):
+        L = oracle_laplacian(N)
+        V = N.graph.vertices
+        interior = [V.index(c) for c in N.graph.interior]
+        block = ExactMatrix([[row[j] for j in interior] for row in L])
+        assert is_nondegenerate(N) == (rank_over_Q(block) == len(interior))
+        shifted = ExactMatrix(
+            [[(lam if i == j else 0) - x for j, x in enumerate(row)]
+             for i, row in enumerate(L)]
+        )
+        assert eigen_multiplicity(N, lam) == len(V) - rank_over_Q(shifted)
+        if all(x.denominator == 1 for row in L for x in row):
+            assert laplacian_charpoly(N) == charpoly(ExactMatrix(L).to_integer())
+        else:
+            with pytest.raises(ValueError, match="non-integer entries"):
+                laplacian_charpoly(N)
+
+    def test_charpoly_of_integral_L_with_fraction_weights(self):
+        # two parallel edges of weight 1/2 make an integral Laplacian
+        G = PartialGraph(range(2), (), {0: (0, 1), 1: (0, 1)})
+        N = Network(G, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+        assert laplacian_charpoly(N) == [1, -2, 0]
+
+
 class TestSparseRoute:
     """The interior block as sparse rows, and the modules read off its
-    Smith diagonal, against the dense block."""
+    Smith diagonal, against the block built from the edge list."""
 
     @settings(max_examples=150, deadline=None)
     @given(integer_networks())
     def test_interior_rows_match_dense_block(self, N):
-        block = integer_interior_block(N)
+        block = oracle_interior_block(N)
         rows = interior_rows(N)
         assert len(rows) == block.rows
         assert all(x for r in rows for x in r.values())
@@ -173,7 +261,7 @@ class TestSparseRoute:
     @settings(max_examples=100, deadline=None)
     @given(integer_networks(), st.integers(2, 12))
     def test_sparse_route_matches_dense_kernels(self, N, n):
-        block = integer_interior_block(N)
+        block = oracle_interior_block(N)
         assert U0_mod_n(N, n) == kernel_mod_n(block, n)
         try:
             want = kernel_QmodZ_torsion(block)
@@ -186,7 +274,7 @@ class TestSparseRoute:
     @settings(max_examples=100, deadline=None)
     @given(integer_networks())
     def test_upsilon_matches_dense_cokernel(self, N):
-        block = integer_interior_block(N)
+        block = oracle_interior_block(N)
         report = upsilon(N)
         assert report.decomposition == cokernel(block)
         assert report.nondegenerate == is_nondegenerate(N)

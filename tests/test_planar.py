@@ -104,6 +104,12 @@ class TestDual:
         with pytest.raises(ValueError):
             verify_duality(N, EG)
 
+    def test_duality_with_non_integral_dual_rejected(self):
+        EW = wheel(4, hub_boundary=True)
+        N = Network(EW.graph, {e: 2 for e in EW.graph.edge_ids})
+        with pytest.raises(ValueError, match="integer weights required"):
+            verify_duality(N, EW)
+
 
 class TestConjugate:
     def test_conjugate_satisfies_cauchy_riemann(self):
@@ -124,6 +130,12 @@ class TestConjugate:
         N = Network.standard(EG.graph)
         with pytest.raises(ValueError):
             harmonic_conjugate(N, EG, {0: 0, 1: 5, 2: 1})
+
+    def test_partial_input_rejected(self):
+        EG = embedded_triangle()
+        N = Network.standard(EG.graph)
+        with pytest.raises(ValueError, match="must be total"):
+            harmonic_conjugate(N, EG, {0: 0, 1: 2})
 
     def test_conjugate_of_constant_is_constant(self):
         EW = wheel(5, hub_boundary=True)
