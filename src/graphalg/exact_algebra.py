@@ -3,8 +3,9 @@
 Everything here is pure integer/rational arithmetic (``int`` and
 ``fractions.Fraction``); no floating point is used anywhere.  The main
 entry points are the Smith normal form diagonal (:func:`smith_diagonal`:
-a sparse elimination on +-1 pivots, whose entries stay minors of the
-input, then the dense remnant modulo a nonzero minor, so that entries
+a sparse elimination on pivots that divide their whole row and column,
++-1 ones first, whose entries stay minors of the input over a nonzero
+integer, then the dense remnant modulo a nonzero minor, so that entries
 stay bounded), cokernel and kernel decompositions of integer matrices
 (also read off a known diagonal by the ``*_from_snf`` helpers), exact
 rank and determinant (one integer Bareiss elimination), and
@@ -21,6 +22,7 @@ invariant factors, e.g. ``Z^2 + Z/3 + Z/15``.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -469,15 +471,28 @@ def smith_diagonal(A):
     length min(rows, cols) and d1 | d2 | ... | dr.
 
     This is the production Smith route, in two phases on the rows held
-    as sparse ``{column: int}`` dicts.  The unit phase repeatedly takes
-    a +-1 entry of least Markowitz cost (row count - 1)(column count - 1),
-    clears its column by integer row operations and drops its row and
-    column, recording a diagonal 1.  After k such pivots every remaining
-    entry is +- a (k+1) x (k+1) minor of A (the pivot block has
-    determinant +-1), so entries stay within Hadamard's bound.  The
-    dense remnant then goes to :func:`_smith_mod_D`, and the rank is k
-    plus the remnant's.  Only the diagonal is computed; :func:`snf`
-    gives U and V.
+    as sparse ``{column: int}`` dicts.
+
+    The pivot phase (:func:`_sparse_pivots`) eliminates on entries p
+    that divide every entry of their row and of their column: +-1
+    entries first, then larger ones.  Row operations with the integer
+    multipliers r[c] / p clear p's column, and column operations (which
+    touch only p's row, now alone in the column) would clear its row,
+    so each step is a unimodular equivalence A ~ p + S with S the rows
+    and columns left.  The Smith form of A is therefore the gcd/lcm
+    chain (:func:`_invariant_chain`) of the pivots' absolute values and
+    the remnant's invariants, padded with 1s; the rank is the number of
+    pivots plus the remnant's.
+
+    Entries stay bounded because the phase is plain Gaussian
+    elimination: after pivots p1, ..., pk in rows I and columns J, the
+    entry in row i and column j is the Schur complement entry
+    det A[I+i, J+j] / det A[I, J], and det A[I, J] = +-p1 ... pk, a
+    nonzero integer.  So every working entry is at most a (k+1) x (k+1)
+    minor of A in absolute value, within Hadamard's bound.
+
+    The dense remnant then goes to :func:`_smith_mod_D`.  Only the
+    diagonal is computed; :func:`snf` gives U and V.
     """
     rows = [{j: x for j, x in enumerate(r) if x} for r in _require_integer(A)]
     return _smith_rows(rows, A.cols)
@@ -487,65 +502,119 @@ def _smith_rows(rows, cols):
     """:func:`smith_diagonal` of the matrix with ``cols`` columns whose
     rows are the sparse int dicts ``rows`` (consumed)."""
     size = min(len(rows), cols)
-    k, rest = _unit_pivots(rows)
-    used = sorted(set().union(*rest))
-    diagonal = (1,) * k + _smith_mod_D(
-        [[r.get(j, 0) for j in used] for r in rest if r]
-    )
-    rank = len(diagonal)
+    pivots, remnant = _sparse_pivots(rows)
+    invariants = _smith_mod_D(remnant)
+    rank = len(pivots) + len(invariants)
+    chain = _invariant_chain(pivots + list(invariants))
+    diagonal = (1,) * (rank - len(chain)) + tuple(chain)
     return diagonal + (0,) * (size - rank), rank
 
 
-def _unit_pivots(rows):
-    """Eliminate on +-1 pivots of least Markowitz cost in the sparse
-    int rows ``rows`` (changed in place).  Returns the number k of
-    pivots and the rows left, with the pivot columns gone from them."""
+def _sparse_pivots(rows):
+    """Eliminate, in the sparse int rows ``rows`` (changed in place), on
+    pivots that divide every entry of their row and of their column.
+    Returns the pivots' absolute values and the rows left as a dense
+    remnant: its nonzero rows, over the columns still in use.
+
+    An entry p qualifies when |p| is the gcd of its row and the gcd of
+    its column, so every +-1 entry does.  A heap orders the candidates
+    by |p|, then by Markowitz cost (row count - 1)(column count - 1),
+    so +-1 pivots come first and larger ones only once none is left.
+    Costs are checked when an entry is popped, and a stale one goes
+    back with its new cost.
+
+    A scan enters each row once: by its first +-1 entry, or, in a row
+    whose gcd g > 1, by its entry +-g in the shortest column whose gcd
+    is g.  When a row's +-1 entry is first popped, all the row's +-1
+    entries go on the heap with their current costs, and so does every
+    +-1 that fill-in creates later.  No +-1 entry is missed, yet a dense
+    block, whose rows all change at the first pivot, costs one heap
+    entry per row rather than one per entry.  A larger pivot is checked
+    afresh when popped; when the heap runs dry the scan runs again,
+    until it finds nothing.
+    """
     live = dict(enumerate(rows))
-    where = {}  # column -> live rows with an entry there
+    where = defaultdict(set)  # column -> live rows with an entry there
     for i, r in live.items():
         for j in r:
-            where.setdefault(j, set()).add(i)
-    heap = []
-    for i, r in live.items():
-        n = len(r) - 1
-        heap += [
-            (n * (len(where[j]) - 1), i, j)
-            for j, x in r.items()
-            if x == 1 or x == -1
-        ]
-    heapq.heapify(heap)
+            where[j].add(i)
+
+    def column_gcd(j):
+        g = colgcd.get(j)
+        if g is None:
+            g = colgcd[j] = gcd(*(live[t][j] for t in where[j]))
+        return g
+
     push, pop = heapq.heappush, heapq.heappop
-    k = 0
-    while heap:
-        old, i, c = pop(heap)
-        top = live.get(i)
-        if top is None or top.get(c) not in (1, -1):
-            continue
-        now = (len(top) - 1) * (len(where[c]) - 1)
-        if now > old:
-            push(heap, (now, i, c))
-            continue
-        del live[i]
-        u = top.pop(c)
-        for j in top:
-            where[j].discard(i)
-        below = where.pop(c)
-        below.discard(i)
-        for t in below:
-            r = live[t]
-            f = r.pop(c) * u  # u = 1/u, so r - f*top clears column c
-            for j, x in top.items():
-                v = r.get(j, 0) - f * x
-                if v:
-                    r[j] = v
-                    where[j].add(t)
-                    if v == 1 or v == -1:
-                        push(heap, ((len(r) - 1) * (len(where[j]) - 1), t, j))
-                else:
-                    del r[j]
-                    where[j].discard(t)
-        k += 1
-    return k, list(live.values())
+    spread = set()  # rows whose +-1 entries are all on the heap
+    pivots = []
+    while True:
+        heap, colgcd = [], {}
+        for i, r in live.items():
+            g = gcd(*r.values())
+            if g == 1:
+                j = next((j for j, x in r.items() if x == 1 or x == -1), None)
+                if j is not None:
+                    heap.append((1, (len(r) - 1) * (len(where[j]) - 1), i, j))
+                continue
+            cols = [
+                j
+                for j, x in r.items()
+                if (x == g or x == -g) and column_gcd(j) == g
+            ]
+            if cols:
+                n, j = min(zip(map(len, map(where.__getitem__, cols)), cols))
+                heap.append((g, (len(r) - 1) * (n - 1), i, j))
+        if not heap:
+            break
+        heapq.heapify(heap)
+        while heap:
+            a, old, i, c = pop(heap)
+            top = live.get(i)
+            if top is None:
+                continue
+            if a == 1:
+                if i not in spread:
+                    spread.add(i)
+                    n = len(top) - 1
+                    for j, x in top.items():
+                        if x == 1 or x == -1:
+                            push(heap, (1, n * (len(where[j]) - 1), i, j))
+                    continue
+                if top.get(c) not in (1, -1):
+                    continue
+            elif not (
+                abs(top.get(c, 0)) == a == gcd(*top.values())
+                and all(live[t][c] % a == 0 for t in where[c])
+            ):
+                continue
+            now = (len(top) - 1) * (len(where[c]) - 1)
+            if now > old:
+                push(heap, (a, now, i, c))
+                continue
+            del live[i]
+            p = top.pop(c)
+            for j in top:
+                where[j].discard(i)
+            below = where.pop(c)
+            below.discard(i)
+            for t in below:
+                r = live[t]
+                f = r.pop(c) // p  # exact: p divides its column
+                for j, x in top.items():
+                    v = r.get(j, 0) - f * x
+                    if v:
+                        r[j] = v
+                        where[j].add(t)
+                        if v == 1 or v == -1:
+                            push(heap, (1, (len(r) - 1) * (len(where[j]) - 1), t, j))
+                    else:
+                        del r[j]
+                        where[j].discard(t)
+            pivots.append(a)
+    rest = [r for r in live.values() if r]
+    used = sorted(set().union(*rest))
+    return pivots, [[r.get(j, 0) for j in used] for r in rest]
 
 
 def _smith_mod_D(M):

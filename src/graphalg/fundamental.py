@@ -20,6 +20,7 @@ from .exact_algebra import (
     ModuleDecomposition,
     _bareiss,
     _smith_rows,
+    _sparse_pivots,
     charpoly,
     cokernel,
     cokernel_from_snf,
@@ -126,16 +127,24 @@ def laplacian_charpoly(N):
 
 def eigen_multiplicity(N, lam):
     """Multiplicity of lam as an eigenvalue of the full Laplacian over Q
-    (nullity of lam*I - L)."""
+    (nullity of lam*I - L).  The rank is the number of pivots of the
+    Smith core's sparse pivot phase plus the Bareiss rank of the
+    remnant: only the rank is needed, so no pass modulo D follows."""
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
-    V = N.graph.vertices
     L, s = N._laplacian
-    # q s (lam I - L) is int and has the rank of lam I - L
-    rows = [
-        [(p * s if y == x else 0) - q * L[x].get(y, 0) for y in V] for x in V
-    ]
-    return len(rows) - _bareiss(rows)[0]
+    # q s (L - lam I) is int and has the rank of lam I - L
+    rows = []
+    for x, row in L.items():
+        r = dict(row) if q == 1 else {y: q * a for y, a in row.items()}
+        d = r.get(x, 0) - p * s
+        if d:
+            r[x] = d
+        else:
+            r.pop(x, None)
+        rows.append(r)
+    pivots, remnant = _sparse_pivots(rows)
+    return len(rows) - len(pivots) - _bareiss(remnant)[0]
 
 
 def charpoly_divisibility_check(f, N1, N2):

@@ -13,7 +13,7 @@ from graphalg.exact_algebra import (
     ExactMatrix,
     Mod,
     ModuleDecomposition,
-    _unit_pivots,
+    _sparse_pivots,
     charpoly,
     cokernel,
     determinant,
@@ -24,6 +24,7 @@ from graphalg.exact_algebra import (
     smith_diagonal,
     snf,
 )
+from graphalg.families import complete_graph
 from graphalg.network import Network, interior_block, laplacian_matrix
 from graphalg.partial_graph import PartialGraph
 
@@ -214,8 +215,47 @@ class TestSmithDiagonal:
             smith_diagonal(ExactMatrix([[Fraction(1, 2)]]))
 
 
+def sparse(A):
+    """A's rows as the Smith core holds them: ``{column: int}`` dicts."""
+    return [{j: x for j, x in enumerate(r) if x} for r in A.data]
+
+
+@st.composite
+def scaled_blocks(draw):
+    """c times a random Laplacian block: every entry is a multiple of c."""
+    c = draw(st.integers(2, 6))
+    B = draw(multigraph_blocks(sizes=(4, 10), edges=(1, 2)))
+    return ExactMatrix([[c * x for x in r] for r in B.data])
+
+
+@st.composite
+def complete_blocks(draw):
+    """The block of K_n with one weight w on every edge, offsets that are
+    multiples of w and a random boundary: w (n I - J) + diagonal, dense."""
+    n = draw(st.integers(3, 12))
+    w = draw(st.integers(1, 6))
+    G = PartialGraph(
+        range(n),
+        draw(st.sets(st.integers(0, n - 1), max_size=3)),
+        [(k, a, b) for k, (a, b) in enumerate(
+            (a, b) for a in range(n) for b in range(a + 1, n))],
+    )
+    offsets = {v: w * draw(st.integers(0, 2)) for v in range(n)}
+    N = Network(G, {e: w for e in G.edge_ids}, offsets)
+    if draw(st.booleans()):
+        return laplacian_matrix(N)
+    return interior_block(N)
+
+
+def hadamard_square(A):
+    """The square of a bound on every minor of A, of any size: the
+    product of the squared lengths of its nonzero rows."""
+    return prod(max(1, sum(x * x for x in r)) for r in A.data)
+
+
 class TestUnitPhase:
-    """The sparse +-1 phase of smith_diagonal, against outside oracles."""
+    """The +-1 pivots of smith_diagonal's sparse phase, against outside
+    oracles."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -231,10 +271,9 @@ class TestUnitPhase:
     @settings(max_examples=25, deadline=None)
     @given(multigraph_blocks(sizes=(6, 14), weight=st.just(2)))
     def test_no_unit_pivot(self, A):
-        # every entry is even: the remnant is the whole block
-        rows = [{j: x for j, x in enumerate(r) if x} for r in A.data]
-        k, rest = _unit_pivots([dict(r) for r in rows])
-        assert k == 0 and rest == rows
+        # every entry is even: every pivot is even too
+        pivots, _ = _sparse_pivots(sparse(A))
+        assert all(p % 2 == 0 for p in pivots)
         assert smith_diagonal(A) == sympy_smith(A)
 
     def test_pivots_are_counted_in_the_diagonal(self):
@@ -242,11 +281,48 @@ class TestUnitPhase:
         # invariant is a unit pivot
         G = PartialGraph(range(6), {0, 5}, {i: (i, i + 1) for i in range(5)})
         A = interior_block(Network.standard(G))
-        k, rest = _unit_pivots(
-            [{j: x for j, x in enumerate(r) if x} for r in A.data]
-        )
-        assert k == 4 and not any(rest)
+        assert _sparse_pivots(sparse(A)) == ([1, 1, 1, 1], [])
         assert smith_diagonal(A) == ((1, 1, 1, 1), 4)
+
+
+class TestDivisiblePivots:
+    """The larger pivots of smith_diagonal's sparse phase: entries that
+    divide their whole row and column."""
+
+    def test_divisible_pivots_on_complete_graph(self):
+        # L(K_n) = n I - J: after one unit pivot every row left is a
+        # multiple of n, cleared by divisible pivots with no remnant
+        n = 12
+        A = laplacian_matrix(Network.standard(complete_graph(n)))
+        pivots, remnant = _sparse_pivots(sparse(A))
+        assert sorted(pivots) == [1] + [n] * (n - 2) and not remnant
+        assert smith_diagonal(A) == ((1,) + (n,) * (n - 2) + (0,), n - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            multigraph_blocks(sizes=(6, 14), weight=st.sampled_from([2, 3, 6])),
+            scaled_blocks(),
+            complete_blocks(),
+        )
+    )
+    def test_many_divisible_pivots_match_sympy(self, A):
+        assert smith_diagonal(A) == sympy_smith(A)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            multigraph_blocks(sizes=(6, 14), weight=st.sampled_from([2, 3, 6])),
+            multigraph_blocks(sizes=(10, 20), edges=(1, 1.5)),
+            scaled_blocks(),
+            complete_blocks(),
+        )
+    )
+    def test_remnant_within_hadamard_bound(self, A):
+        # every remnant entry is a minor of A over the pivots' product
+        bound = hadamard_square(A)
+        _, remnant = _sparse_pivots(sparse(A))
+        assert all(x * x <= bound for r in remnant for x in r)
 
 
 class TestCokernel:

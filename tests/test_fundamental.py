@@ -124,6 +124,14 @@ class TestCriticalGroup:
     def test_cayley_formula(self):
         assert spanning_tree_count(complete_graph(6)) == 6**4
 
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_complete_graph(self, n):
+        # K(K_n) = (Z/n)^(n-2): after one unit pivot the Smith core
+        # clears the block by pivots n that divide their row and column
+        assert critical_group(complete_graph(n)) == ModuleDecomposition(
+            0, (n,) * (n - 2)
+        )
+
     def test_cube_7(self):
         # Q_n has 2^(2^n - n - 1) * prod k^C(n, k) spanning trees
         torsion = critical_group(cube(7))
@@ -167,6 +175,31 @@ class TestSpectra:
         assert eigen_multiplicity(N, 4) == 3
         assert eigen_multiplicity(N, 0) == 1
         assert eigen_multiplicity(N, 1) == 0
+
+    @pytest.mark.parametrize("n", [60, 61, 62, 63])
+    def test_eigen_multiplicity_of_cycle(self, n):
+        # L(C_n) has the eigenvalues 2 - 2 cos(2 pi k / n), k = 0..n-1.
+        # The rational values of cos at rational multiples of pi are
+        # 0, +-1/2 and +-1, so the integer eigenvalue lam = 2 - 2 cos t
+        # comes exactly from the turns t / (2 pi) listed here.
+        turns = {
+            0: {Fraction(0)},
+            1: {Fraction(1, 6), Fraction(5, 6)},
+            2: {Fraction(1, 4), Fraction(3, 4)},
+            3: {Fraction(1, 3), Fraction(2, 3)},
+            4: {Fraction(1, 2)},
+        }
+        N = Network.standard(cycle(n))
+        for lam, at in turns.items():
+            want = sum(Fraction(k, n) in at for k in range(n))
+            assert eigen_multiplicity(N, lam) == want
+
+    @pytest.mark.parametrize("n", [30, 48, 64])
+    def test_eigen_multiplicity_of_complete_graph(self, n):
+        # L(K_n) = n I - J: n I - L = J has rank 1, and L has rank n - 1
+        N = Network.standard(complete_graph(n))
+        assert eigen_multiplicity(N, n) == n - 1
+        assert eigen_multiplicity(N, 0) == 1
 
     @settings(max_examples=80, deadline=None)
     @given(fraction_networks())
