@@ -16,8 +16,10 @@ degree at every vertex.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 
 
@@ -35,12 +37,14 @@ class PartialGraph:
     coords: tuple = ()  # optional (vertex_id, payload) pairs for family generators
 
     def __init__(self, vertices, boundary, edges, coords=None):
-        vs = tuple(sorted(set(int(v) for v in vertices)))
+        known = set(int(v) for v in vertices)
+        vs = tuple(sorted(known))
         bd = frozenset(int(v) for v in boundary)
         if isinstance(edges, dict):
             es = tuple(sorted((int(e), int(t), int(h)) for e, (t, h) in edges.items()))
         else:
             es = tuple(sorted((int(e), int(t), int(h)) for e, t, h in edges))
+        _check_parts(known, bd, es)
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "boundary", bd)
         object.__setattr__(self, "edges", es)
@@ -172,18 +176,30 @@ class PartialGraph:
         return len(self.connected_components()) <= 1
 
 
+_EID, _TAIL, _HEAD = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def _check_parts(known, boundary, edges):
+    """Raise ValueError unless ``boundary`` lies in the vertex set
+    ``known`` and the ``(eid, tail, head)`` triples ``edges`` have
+    distinct ids and endpoints in ``known``."""
+    if not boundary <= known:
+        raise ValueError(f"boundary vertex {min(boundary - known)} is not a vertex")
+    if len(set(map(_EID, edges))) < len(edges):
+        count = Counter(map(_EID, edges))
+        e = min(e for e, k in count.items() if k > 1)
+        raise ValueError(f"repeated edge id {e}")
+    if not (
+        known.issuperset(map(_TAIL, edges))
+        and known.issuperset(map(_HEAD, edges))
+    ):
+        stray = {x for _, t, h in edges for x in (t, h)} - known
+        raise ValueError(f"edge endpoint {min(stray)} is not a vertex")
+
+
 def validate_graph(G):
     """Check the boundary/interior partition and edge endpoints."""
-    vs = set(G.vertices)
-    if not G.boundary <= vs:
-        raise ValueError("boundary contains unknown vertex ids")
-    seen = set()
-    for e, t, h in G.edges:
-        if e in seen:
-            raise ValueError(f"duplicate edge id {e}")
-        seen.add(e)
-        if t not in vs or h not in vs:
-            raise ValueError(f"edge {e} has a dangling endpoint")
+    _check_parts(set(G.vertices), G.boundary, G.edges)
     return True
 
 

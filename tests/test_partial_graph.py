@@ -88,6 +88,20 @@ class TestPartialGraph:
         with pytest.raises(ValueError):
             validate_graph(G)
 
+    def test_repeated_edge_id_rejected(self):
+        # edge_dict would keep one of the two edges and the Laplacian both
+        with pytest.raises(ValueError, match="repeated edge id 0"):
+            PartialGraph([0, 1, 2], [0], [(0, 0, 1), (0, 1, 2)])
+
+    def test_unknown_boundary_vertex_rejected(self):
+        with pytest.raises(ValueError, match="boundary vertex 5 is not a vertex"):
+            PartialGraph(range(3), {0, 5}, {0: (0, 1)})
+
+    def test_unknown_edge_endpoint_rejected(self):
+        for edges in ([(0, 0, 1), (1, 7, 2)], {0: (0, 1), 1: (2, 7)}):
+            with pytest.raises(ValueError, match="edge endpoint 7 is not a vertex"):
+                PartialGraph(range(3), (), edges)
+
     def test_vertex_deletion_drops_incident_edges(self):
         G = PartialGraph(range(2), (), {0: (0, 1)})
         assert validate_graph(G.delete_vertex(1))
