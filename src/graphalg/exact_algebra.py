@@ -245,9 +245,6 @@ class ModuleDecomposition:
             n *= f
         return n
 
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.invariant_factors
-
     def __str__(self):
         parts = []
         if self.free_rank == 1:

@@ -99,11 +99,10 @@ def clf(m, n):
     """The chain-link fence graph on the cylinder: vertices (j, k) for
     j mod m and 0 <= k <= n, boundary row k = 0, with edges
     (j,k) ~ (j+1, n-k+1) for k >= 1 and (j,k) ~ (j+1, n-k) for k >= 0.
-    Ids are row-major; each vertex carries its (j, k) coordinates."""
+    Ids are row-major: (j, k) has id k*m + j."""
     if m < 2 or n < 1:
         raise ValueError("need m >= 2 and n >= 1")
     vertices = range(m * (n + 1))
-    coords = {_clf_vid(m, j, k): (j, k) for j in range(m) for k in range(n + 1)}
     edges = {}
     eid = 0
     for j in range(m):
@@ -114,24 +113,28 @@ def clf(m, n):
             edges[eid] = (_clf_vid(m, j, k), _clf_vid(m, j + 1, n - k))
             eid += 1
     boundary = {_clf_vid(m, j, 0) for j in range(m)}
-    return PartialGraph(vertices, boundary, edges, coords)
+    return PartialGraph(vertices, boundary, edges)
+
+
+def _clf_prime_points(m, n):
+    """The (x, y) vertices of clf_prime(m, n), listed in id order."""
+    return [
+        (x, y)
+        for y in range(n + 2)
+        for x in range(2 * m)
+        if (x + y) % 2 == 0
+    ]
 
 
 def clf_prime(m, n):
     """The companion family on vertices (x, y) with x mod 2m,
     0 <= y <= n+1, and x + y even; boundary rows y = 0 and y = n+1;
     edges (x,y) ~ (x+1, y+1) and (x,y) ~ (x-1, y+1) whenever both rows
-    exist."""
+    exist.  Ids follow rows y, then x."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    pairs = [
-        (x, y)
-        for y in range(n + 2)
-        for x in range(2 * m)
-        if (x + y) % 2 == 0
-    ]
+    pairs = _clf_prime_points(m, n)
     vid = {p: i for i, p in enumerate(pairs)}
-    coords = {i: p for p, i in vid.items()}
     edges = {}
     eid = 0
     for x, y in pairs:
@@ -141,18 +144,17 @@ def clf_prime(m, n):
             edges[eid] = (vid[(x, y)], vid[((x - 1) % (2 * m), y + 1)])
             eid += 1
     boundary = {vid[(x, y)] for x, y in pairs if y in (0, n + 1)}
-    return PartialGraph(range(len(pairs)), boundary, edges, coords)
+    return PartialGraph(range(len(pairs)), boundary, edges)
 
 
 def clf_prime_isomorphism(m, n):
     """The vertex bijection realizing clf(2m, n) == clf_prime(m, 2n):
     (j, k) goes to (j, 2k) for even j and to (j, 2(n-k)+1) for odd j.
     Returns {clf vertex id: clf_prime vertex id}."""
-    G = clf(2 * m, n)
-    H = clf_prime(m, 2 * n)
-    target = {p: i for i, p in H.coords}
+    target = {p: i for i, p in enumerate(_clf_prime_points(m, 2 * n))}
     out = {}
-    for i, (j, k) in G.coords:
+    for i in range(2 * m * (n + 1)):
+        k, j = divmod(i, 2 * m)
         y = 2 * k if j % 2 == 0 else 2 * (n - k) + 1
         out[i] = target[(j, y)]
     return out
@@ -168,7 +170,8 @@ def rotation_action(m, n, sheets):
         raise ValueError("sheets must be positive")
     big = clf(sheets * m, n)
     small = clf(m, n)
-    vmap = {i: _clf_vid(m, j, k) for i, (j, k) in big.coords}
+    width = sheets * m
+    vmap = {i: _clf_vid(m, i % width, i // width) for i in big.vertices}
     per_column = 2 * n + 1
     emap = {}
     for e in big.edge_ids:

@@ -43,10 +43,6 @@ class UpsilonReport:
     decomposition: ModuleDecomposition
     nondegenerate: bool
 
-    @property
-    def torsion(self):
-        return self.decomposition.invariant_factors
-
 
 def upsilon(N):
     """Decomposition of Upsilon(G, L) for an integer-weight network."""

@@ -184,10 +184,7 @@ def _strip(G, isolated, order_key):
     if not ops:
         return G, ops
     remnant = PartialGraph(
-        vertices,
-        boundary,
-        [(e, t, h) for e, t, h in G.edges if e in edges],
-        {v: p for v, p in G.coords if v in vertices},
+        vertices, boundary, [(e, t, h) for e, t, h in G.edges if e in edges]
     )
     return remnant, ops
 

@@ -142,15 +142,23 @@ class VertexFunction:
     def __init__(self, values):
         object.__setattr__(self, "values", tuple(sorted(dict(values).items())))
 
-    @property
-    def vmap(self):
+    @cached_property
+    def _vmap(self):
         return dict(self.values)
 
-    def __call__(self, v):
-        return self.vmap[v]
+    @property
+    def vmap(self):
+        """Read-only map vertex -> value."""
+        return MappingProxyType(self._vmap)
 
-    def restricted_to_zero(self, vertex_set):
-        return all(_is_zero(self.vmap[v]) for v in vertex_set)
+    def __call__(self, v):
+        return self._vmap[v]
+
+
+def _value_map(u):
+    """The vertex -> value dict of a VertexFunction or a mapping; the
+    caller reads it and never writes to it."""
+    return u._vmap if isinstance(u, VertexFunction) else dict(u)
 
 
 def _is_zero(x):
@@ -209,7 +217,7 @@ def interior_smith(N):
 
 def apply_L(N, u):
     """Lu as a VertexFunction; u may be valued in Z, Q, or Z/n."""
-    uv = u.vmap if isinstance(u, VertexFunction) else dict(u)
+    uv = _value_map(u)
     if set(uv) != set(N.graph.vertices):
         raise ValueError("vertex function must be total")
     rows, s = N._laplacian
@@ -231,7 +239,7 @@ def is_harmonic(N, u):
 
 def in_U0(N, u):
     """u vanishes on the boundary and Lu vanishes everywhere."""
-    uv = u.vmap if isinstance(u, VertexFunction) else dict(u)
+    uv = _value_map(u)
     if not all(_is_zero(uv[v]) for v in N.graph.boundary):
         return False
     Lu = apply_L(N, u)
@@ -311,7 +319,7 @@ def pullback_harmonic(f, N1, N2, u):
     validate_network_morphism(f, N1, N2)
     if not is_harmonic(N2, u):
         raise ValueError("input function is not harmonic")
-    uv = u.vmap if isinstance(u, VertexFunction) else dict(u)
+    uv = _value_map(u)
     pulled = VertexFunction({x: uv[f.vmap[x]] for x in N1.graph.vertices})
     if not is_harmonic(N1, pulled):
         raise AssertionError("pullback failed to be harmonic")
@@ -324,7 +332,7 @@ def pushforward_U0(f, N1, N2, u):
     degrees = validate_network_morphism(f, N1, N2)
     if not in_U0(N1, u):
         raise ValueError("input function is not in U0")
-    uv = u.vmap if isinstance(u, VertexFunction) else dict(u)
+    uv = _value_map(u)
     out = {}
     for y in N2.graph.vertices:
         acc = None

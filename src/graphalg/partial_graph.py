@@ -1,7 +1,9 @@
 """Graphs with boundary and their morphisms.
 
 A :class:`PartialGraph` is a finite multigraph whose vertex set is
-partitioned into boundary and interior vertices.  Undirected edges are
+partitioned into boundary and interior vertices.  It holds its
+vertices, boundary and edges and nothing else, so graphs with the same
+three parts are equal however they were built.  Undirected edges are
 stored once (with an id, a tail, and a head); each one stands for the
 pair of oriented edges ``(eid, +1)`` and ``(eid, -1)``, and reversal
 flips the sign.  ``star(x)`` is the set of oriented edges pointed away
@@ -34,9 +36,8 @@ class PartialGraph:
     vertices: tuple
     boundary: frozenset
     edges: tuple  # of (eid, tail, head)
-    coords: tuple = ()  # optional (vertex_id, payload) pairs for family generators
 
-    def __init__(self, vertices, boundary, edges, coords=None):
+    def __init__(self, vertices, boundary, edges):
         known = set(int(v) for v in vertices)
         vs = tuple(sorted(known))
         bd = frozenset(int(v) for v in boundary)
@@ -48,9 +49,6 @@ class PartialGraph:
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "boundary", bd)
         object.__setattr__(self, "edges", es)
-        object.__setattr__(
-            self, "coords", tuple(sorted(coords.items())) if coords else ()
-        )
 
     # -- basic accessors ------------------------------------------------
 
@@ -79,10 +77,6 @@ class PartialGraph:
             stars.setdefault(h, []).append((e, -1))
         return {x: tuple(star) for x, star in stars.items()}
 
-    @property
-    def coord_map(self):
-        return dict(self.coords)
-
     def tail(self, eid):
         return self._ends[eid][0]
 
@@ -98,13 +92,6 @@ class PartialGraph:
         eid, s = oe
         t, h = self._ends[eid]
         return h if s > 0 else t
-
-    def oriented_edges(self):
-        out = []
-        for e, _, _ in self.edges:
-            out.append((e, 1))
-            out.append((e, -1))
-        return out
 
     def star(self, x):
         """Oriented edges with tail x, in deterministic order."""
@@ -126,7 +113,7 @@ class PartialGraph:
     # -- derived graphs -------------------------------------------------
 
     def with_boundary(self, boundary):
-        return PartialGraph(self.vertices, boundary, self.edges, self.coord_map)
+        return PartialGraph(self.vertices, boundary, self.edges)
 
     def induced(self, vertices, edges, boundary):
         vs = set(vertices)
@@ -137,18 +124,16 @@ class PartialGraph:
             if t not in vs or h not in vs:
                 raise ValueError(f"edge {e} dangles outside the vertex subset")
             es.append((e, t, h))
-        cm = {v: p for v, p in self.coords if v in vs}
-        return PartialGraph(vs, set(boundary) & vs, es, cm)
+        return PartialGraph(vs, set(boundary) & vs, es)
 
     def delete_vertex(self, x):
         vs = [v for v in self.vertices if v != x]
         es = [(e, t, h) for e, t, h in self.edges if t != x and h != x]
-        cm = {v: p for v, p in self.coords if v != x}
-        return PartialGraph(vs, self.boundary - {x}, es, cm)
+        return PartialGraph(vs, self.boundary - {x}, es)
 
     def delete_edge(self, eid):
         es = [(e, t, h) for e, t, h in self.edges if e != eid]
-        return PartialGraph(self.vertices, self.boundary, es, self.coord_map)
+        return PartialGraph(self.vertices, self.boundary, es)
 
     def connected_components(self):
         """List of vertex frozensets."""
@@ -258,15 +243,6 @@ class DGraphMorphism:
             return img
         _, teid, tsign = img
         return (EDGE, (teid, tsign * s))
-
-    def edge_fiber(self, target_oe):
-        """Source oriented edges mapping onto the given target oriented edge."""
-        out = []
-        for oe in self.source.oriented_edges():
-            img = self.oriented_image(oe)
-            if img[0] == EDGE and img[1] == target_oe:
-                out.append(oe)
-        return out
 
     def vertex_fiber(self, y):
         vmap = self._vmap

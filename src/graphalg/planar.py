@@ -8,7 +8,8 @@ The circle itself is modeled by virtual arcs between consecutive
 boundary vertices; the arcs participate in face tracing but are never
 dualized.  Faces are traced so that each face contains the oriented
 edges having it on their right; the trace along the outside of the
-circle is discarded.
+circle is discarded.  An embedding is checked and its faces walked once,
+on first use, and every reader shares that walk.
 
 The dual network places a vertex in every face, joins the two faces
 adjacent to each edge by a dual edge with reciprocal weight, and marks a
@@ -22,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .exact_algebra import Mod
 from .fundamental import upsilon_reduced
-from .network import Network, VertexFunction, is_harmonic
+from .network import Network, VertexFunction, _value_map, is_harmonic
 from .partial_graph import PartialGraph, rev
 
 ARC = "arc"
@@ -65,26 +66,36 @@ class EmbeddedPartialGraph:
     def rmap(self):
         return dict(self.rotation)
 
+    @cached_property
+    def _faces(self):
+        """Every face of the augmented map, walked once after the
+        rotation and boundary order are checked.  An invalid embedding
+        raises ValueError here on every access."""
+        G = self.graph
+        rmap = self.rmap
+        if set(rmap) != set(G.vertices):
+            raise ValueError("rotation must cover every vertex exactly")
+        for v, darts in rmap.items():
+            if sorted(darts) != sorted(G.star(v)):
+                raise ValueError(f"rotation at {v} does not list its star")
+        if sorted(self.boundary_order) != sorted(G.boundary):
+            raise ValueError("boundary order must enumerate the boundary")
+        if G.vertices and not G.is_connected():
+            raise ValueError("embedded graph must be connected")
+        faces = _trace_all_faces(self)
+        b = len(self.boundary_order)
+        euler = len(G.vertices) - (len(G.edges) + b) + len(faces)
+        if euler != 2:
+            raise ValueError("rotation system is not a disk embedding")
+        return faces
+
 
 def validate_embedding(EG):
     """Check rotation and boundary-order consistency and that the face
-    structure has the Euler characteristic of a disk embedding."""
-    G = EG.graph
-    rmap = EG.rmap
-    if set(rmap) != set(G.vertices):
-        raise ValueError("rotation must cover every vertex exactly")
-    for v, darts in rmap.items():
-        if sorted(darts) != sorted(G.star(v)):
-            raise ValueError(f"rotation at {v} does not list its star")
-    if sorted(EG.boundary_order) != sorted(G.boundary):
-        raise ValueError("boundary order must enumerate the boundary")
-    if G.vertices and not G.is_connected():
-        raise ValueError("embedded graph must be connected")
-    faces = _trace_all_faces(EG)
-    b = len(EG.boundary_order)
-    euler = len(G.vertices) - (len(G.edges) + b) + len(faces)
-    if euler != 2:
-        raise ValueError("rotation system is not a disk embedding")
+    structure has the Euler characteristic of a disk embedding.  The
+    check runs once per embedding, with the face walk that
+    :func:`trace_faces` and :func:`dual` read."""
+    EG._faces  # raises ValueError unless EG is a disk embedding
     return True
 
 
@@ -158,8 +169,7 @@ def _dart_key(d):
 def trace_faces(EG):
     """The faces of the embedded graph (the outside of the circle is
     dropped), deterministically ordered."""
-    validate_embedding(EG)
-    faces = _trace_all_faces(EG)
+    faces = EG._faces
     if EG.boundary_order:
         outer_dart = (ARC, 0, 1)
         faces = [f for f in faces if outer_dart not in f]
@@ -174,8 +184,6 @@ class DualNetwork:
 
     network: Network
     embedded: EmbeddedPartialGraph
-    faces: tuple  # faces of the primal, indexed by dual vertex id
-    primal: Network
 
 
 def _rotate_to_arc_prefix(darts):
@@ -234,7 +242,7 @@ def dual(N, EG):
     validate_embedding(EGd)
     weights = {e: _invert(w) for e, w in N.weights}
     Nd = Network(Gd, weights)
-    return DualNetwork(Nd, EGd, tuple(faces), N)
+    return DualNetwork(Nd, EGd)
 
 
 def _invert(w):
@@ -301,7 +309,7 @@ def harmonic_conjugate(N, EG, u):
     D = dual(N, EG)
     G = N.graph
     Gd = D.network.graph
-    uv = u.vmap if isinstance(u, VertexFunction) else dict(u)
+    uv = _value_map(u)
     if set(uv) != set(G.vertices):
         raise ValueError("vertex function must be total")
 
@@ -309,7 +317,7 @@ def harmonic_conjugate(N, EG, u):
         t, h = G.edge_dict[e]
         return N.weight(e) * (uv[h] - uv[t])
 
-    v = {0: _zero_like(next(iter(uv.values())))}
+    v = {0: 0 * next(iter(uv.values()))}
     frontier = [0]
     while frontier:
         x = frontier.pop()
@@ -333,9 +341,3 @@ def harmonic_conjugate(N, EG, u):
     if not is_harmonic(D.network, vf):
         raise AssertionError("conjugate failed harmonicity check")
     return vf, D
-
-
-def _zero_like(x):
-    if isinstance(x, Mod):
-        return Mod(0, x.modulus)
-    return 0 * x

@@ -5,11 +5,26 @@ import json
 import pytest
 
 from graphalg.cli import (
+    _FAMILY_BUILDERS,
     DocumentError,
+    NetworkDocument,
     main,
     parse_document,
     serialize_document,
 )
+from graphalg.network import Network
+from graphalg.planar import EmbeddedPartialGraph
+
+# sample parameters for every `graphalg family` builder
+FAMILY_PARAMS = {
+    "complete": [["5"]],
+    "complete-bipartite": [["2", "3"]],
+    "cycle": [["5"]],
+    "cube": [["3"]],
+    "wheel": [["5"], ["5", "hub-boundary"]],
+    "clf": [["4", "2"], ["3", "1"]],
+    "clf-prime": [["2", "2"], ["3", "1"]],
+}
 
 TRIANGLE_DOC = """\
 vertex 0 boundary
@@ -32,6 +47,24 @@ class TestDocumentFormat:
         assert parse_document(text).network == doc.network
         assert parse_document(text).embedded == doc.embedded
         assert serialize_document(parse_document(text)) == text
+
+    def test_every_family_builder_covers_samples(self):
+        assert set(FAMILY_PARAMS) == set(_FAMILY_BUILDERS)
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [(name, p) for name, ps in FAMILY_PARAMS.items() for p in ps],
+    )
+    def test_family_graph_equals_its_parsed_document(self, name, params):
+        built = _FAMILY_BUILDERS[name](params)
+        if isinstance(built, EmbeddedPartialGraph):
+            doc = NetworkDocument(Network.standard(built.graph), built)
+        else:
+            doc = NetworkDocument(Network.standard(built))
+        parsed = parse_document(serialize_document(doc))
+        assert parsed.network == doc.network
+        assert parsed.network.graph == doc.network.graph
+        assert parsed.embedded == doc.embedded
 
     def test_comments_and_blank_lines_ignored(self):
         doc = parse_document("# a comment\n\nvertex 0 interior\n")

@@ -13,6 +13,7 @@ from graphalg.families import (
     rotation_action,
     wheel,
 )
+from graphalg.cli import NetworkDocument, parse_document, serialize_document
 from graphalg.network import Network, validate_network_morphism
 from graphalg.partial_graph import is_covering_map, validate_graph, validate_morphism
 from graphalg.planar import validate_embedding
@@ -101,6 +102,14 @@ class TestChainLinkFence:
             assert validate_network_morphism(
                 f, Network.standard(f.source), Network.standard(f.target)
             )
+            # the same check on networks read back from their documents
+            N1, N2 = (
+                parse_document(
+                    serialize_document(NetworkDocument(Network.standard(G)))
+                ).network
+                for G in (f.source, f.target)
+            )
+            assert validate_network_morphism(f, N1, N2)
             # every fiber has `sheets` points
             assert all(
                 len(f.vertex_fiber(y)) == sheets

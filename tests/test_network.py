@@ -142,6 +142,13 @@ class TestLaplacian:
         assert is_harmonic(N, u)  # interior is {1} only
         assert not is_harmonic(Network.standard(path3(boundary=())), u)
 
+    def test_vertex_function_map_is_read_only(self):
+        u = VertexFunction({0: 0, 1: 1, 2: 2})
+        assert u.vmap == dict(u.values)
+        with pytest.raises(TypeError):
+            u.vmap[0] = 5
+        assert u(0) == 0
+
 
 class TestU0:
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -6,6 +6,7 @@ import pytest
 
 from graphalg.families import wheel
 from graphalg.network import Network, VertexFunction, is_harmonic
+from graphalg import planar
 from graphalg.partial_graph import PartialGraph
 from graphalg.planar import (
     EmbeddedPartialGraph,
@@ -60,6 +61,46 @@ class TestEmbedding:
             validate_embedding(
                 EmbeddedPartialGraph(EG.graph, EG.rmap, (0,))
             )
+
+
+    def test_bad_embedding_raises_on_every_call(self):
+        EG = embedded_triangle()
+        bad = EmbeddedPartialGraph(EG.graph, EG.rmap, (1, 0, 1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="boundary order"):
+                validate_embedding(bad)
+            with pytest.raises(ValueError, match="boundary order"):
+                trace_faces(bad)
+
+
+def count_face_walks(monkeypatch):
+    """Wrap the face walk in a counter; returns the list of walks."""
+    walks = []
+    walk = planar._trace_all_faces
+
+    def counted(EG):
+        walks.append(EG)
+        return walk(EG)
+
+    monkeypatch.setattr(planar, "_trace_all_faces", counted)
+    return walks
+
+
+class TestFaceWalks:
+    def test_validate_then_trace_walks_once(self, monkeypatch):
+        walks = count_face_walks(monkeypatch)
+        EG = embedded_triangle()
+        assert validate_embedding(EG)
+        assert len(trace_faces(EG)) == 3
+        assert len(walks) == 1
+
+    def test_dual_walks_primal_and_dual_once_each(self, monkeypatch):
+        walks = count_face_walks(monkeypatch)
+        EW = wheel(5, hub_boundary=True)
+        D = dual(Network.standard(EW.graph), EW)
+        assert walks == [EW, D.embedded]
+        assert validate_embedding(D.embedded)
+        assert len(walks) == 2
 
 
 class TestDual:
