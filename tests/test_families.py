@@ -2,6 +2,7 @@
 
 import pytest
 
+from graphalg.cli import NetworkDocument, parse_document, serialize_document
 from graphalg.families import (
     clf,
     clf_prime,
@@ -13,7 +14,6 @@ from graphalg.families import (
     rotation_action,
     wheel,
 )
-from graphalg.cli import NetworkDocument, parse_document, serialize_document
 from graphalg.network import Network, validate_network_morphism
 from graphalg.partial_graph import is_covering_map, validate_graph, validate_morphism
 from graphalg.planar import validate_embedding
