@@ -33,7 +33,6 @@ from .partial_graph import (
     identity_morphism,
     is_covering_map,
     is_unramified,
-    validate_graph,
     validate_morphism,
     wedge_sum,
 )

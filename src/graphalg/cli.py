@@ -12,9 +12,10 @@ optional disk embedding and free-form metadata::
     meta name example
 
 Vertex and edge ids are nonnegative integers; ``w`` accepts an integer
-or a rational ``p/q``; oriented edges in rotations are ``+eid`` /
-``-eid``.  Serialization is canonical, so documents round-trip
-losslessly.  Unknown directives are rejected.
+or a rational ``p/q``, and so does ``d``; each field appears at most
+once on a line; oriented edges in rotations are ``+eid`` / ``-eid``.
+Serialization is canonical, so documents round-trip losslessly.
+Unknown directives and fields are rejected.
 
 Every subcommand reads a document from a file argument (or stdin when
 the argument is ``-``) unless noted, writes a human-readable report (or
@@ -83,6 +84,9 @@ def _format_scalar(x):
 
 
 def parse_document(text):
+    """Parse a NetworkDocument.  The parser checks what the text alone
+    shows, repeated ids included; PartialGraph and Network check the
+    rest, and their errors are reported as parse errors of line 0."""
     vertices = {}
     offsets = {}
     edges = {}
@@ -101,37 +105,39 @@ def parse_document(text):
                 raise DocumentError(
                     line_no, "expected: vertex <id> boundary|interior [d=..]"
                 )
-            vid = _parse_int(args[0], line_no)
+            vid = _parse_id(args[0], line_no)
             if vid in vertices:
                 raise DocumentError(line_no, f"duplicate vertex id {vid}")
             vertices[vid] = args[1] == "boundary"
             for extra in args[2:]:
-                if extra.startswith("d="):
-                    offsets[vid] = _parse_scalar(extra[2:], line_no)
-                else:
+                if not extra.startswith("d="):
                     raise DocumentError(line_no, f"unknown field {extra!r}")
+                if vid in offsets:
+                    raise DocumentError(line_no, "repeated field 'd='")
+                offsets[vid] = _parse_scalar(extra[2:], line_no)
         elif kind == "edge":
             if len(args) < 3:
                 raise DocumentError(
                     line_no, "expected: edge <id> <tail> <head> [w=..]"
                 )
-            eid = _parse_int(args[0], line_no)
+            eid = _parse_id(args[0], line_no)
             if eid in edges:
                 raise DocumentError(line_no, f"duplicate edge id {eid}")
             edges[eid] = (
-                _parse_int(args[1], line_no),
-                _parse_int(args[2], line_no),
+                _parse_id(args[1], line_no),
+                _parse_id(args[2], line_no),
             )
-            weights[eid] = 1
             for extra in args[3:]:
-                if extra.startswith("w="):
-                    weights[eid] = _parse_scalar(extra[2:], line_no)
-                else:
+                if not extra.startswith("w="):
                     raise DocumentError(line_no, f"unknown field {extra!r}")
+                if eid in weights:
+                    raise DocumentError(line_no, "repeated field 'w='")
+                weights[eid] = _parse_scalar(extra[2:], line_no)
+            weights.setdefault(eid, 1)
         elif kind == "rotation":
             if not args:
                 raise DocumentError(line_no, "expected: rotation <v> <±e>...")
-            vid = _parse_int(args[0], line_no)
+            vid = _parse_id(args[0], line_no)
             if vid in rotation:
                 raise DocumentError(line_no, f"duplicate rotation for {vid}")
             darts = []
@@ -141,13 +147,13 @@ def parse_document(text):
                         line_no, f"oriented edge {token!r} needs a sign"
                     )
                 darts.append(
-                    (_parse_int(token[1:], line_no), 1 if token[0] == "+" else -1)
+                    (_parse_id(token[1:], line_no), 1 if token[0] == "+" else -1)
                 )
             rotation[vid] = tuple(darts)
         elif kind == "boundary-order":
             if boundary_order is not None:
                 raise DocumentError(line_no, "duplicate boundary-order")
-            boundary_order = tuple(_parse_int(a, line_no) for a in args)
+            boundary_order = tuple(_parse_id(a, line_no) for a in args)
         elif kind == "meta":
             if not args:
                 raise DocumentError(line_no, "expected: meta <key> [value..]")
@@ -156,13 +162,9 @@ def parse_document(text):
             raise DocumentError(line_no, f"unknown directive {kind!r}")
     if not vertices:
         raise DocumentError(0, "document has no vertices")
-    known = set(vertices)
-    for eid, (t, h) in edges.items():
-        if t not in known or h not in known:
-            raise DocumentError(0, f"edge {eid} references unknown vertices")
     boundary = {v for v, is_bd in vertices.items() if is_bd}
-    graph = PartialGraph(vertices, boundary, edges)
     try:
+        graph = PartialGraph(vertices, boundary, edges)
         network = Network(graph, weights, offsets)
     except (ValueError, TypeError) as exc:
         raise DocumentError(0, str(exc))
@@ -174,11 +176,14 @@ def parse_document(text):
     return NetworkDocument(network, embedded, metadata)
 
 
-def _parse_int(text, line_no):
+def _parse_id(text, line_no):
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise DocumentError(line_no, f"bad integer {text!r}")
+    if value < 0:
+        raise DocumentError(line_no, f"negative id {text!r}")
+    return value
 
 
 def serialize_document(doc):
@@ -225,11 +230,11 @@ def _emit(args, text, payload):
         print(text)
 
 
-def _read_document(args):
-    if args.file == "-":
+def _read_document(path):
+    if path == "-":
         text = sys.stdin.read()
     else:
-        with open(args.file) as fh:
+        with open(path) as fh:
             text = fh.read()
     return parse_document(text)
 
@@ -243,8 +248,7 @@ def _require_embedding(doc):
 # -- subcommand implementations ----------------------------------------
 
 
-def _cmd_upsilon(args):
-    doc = _read_document(args)
+def _cmd_upsilon(doc, args):
     report = upsilon(doc.network)
     dec = report.decomposition
     _emit(
@@ -257,8 +261,7 @@ def _cmd_upsilon(args):
     )
 
 
-def _cmd_crit(args):
-    doc = _read_document(args)
+def _cmd_crit(doc, args):
     dec = critical_group(doc.network.graph)
     _emit(
         args,
@@ -267,8 +270,7 @@ def _cmd_crit(args):
     )
 
 
-def _cmd_u0(args):
-    doc = _read_document(args)
+def _cmd_u0(doc, args):
     if args.qz == (args.mod is not None):
         raise ValueError("choose exactly one of --mod N or --qz")
     if args.qz:
@@ -284,8 +286,7 @@ def _cmd_u0(args):
     )
 
 
-def _cmd_layerable(args):
-    doc = _read_document(args)
+def _cmd_layerable(doc, args):
     G = doc.network.graph
     filtration = None
     if args.filtration:
@@ -313,8 +314,7 @@ def _cmd_layerable(args):
     _emit(args, "\n".join(lines), payload)
 
 
-def _cmd_flower(args):
-    doc = _read_document(args)
+def _cmd_flower(doc, args):
     flower, trace = reduce_to_flower(doc.network.graph)
     lines = [
         f"moves applied: {len(trace)}",
@@ -334,8 +334,7 @@ def _cmd_flower(args):
     )
 
 
-def _cmd_reduce(args):
-    doc = _read_document(args)
+def _cmd_reduce(doc, args):
     verdict, trace = is_completely_reducible(doc.network.graph)
     witnesses = trace.irreducible_witnesses()
     lines = [f"completely reducible: {'yes' if verdict else 'no'}"]
@@ -360,8 +359,7 @@ def _cmd_reduce(args):
     )
 
 
-def _cmd_u0_matrix(args):
-    doc = _read_document(args)
+def _cmd_u0_matrix(doc, args):
     S = [int(v) for v in args.interiorize.split(",") if v]
     A = integer_u0_matrix(doc.network, S)
     diag, rank = smith_diagonal(A)
@@ -387,8 +385,7 @@ def _cmd_u0_matrix(args):
     )
 
 
-def _cmd_dual(args):
-    doc = _read_document(args)
+def _cmd_dual(doc, args):
     EG = _require_embedding(doc)
     D = dual(doc.network, EG)
     out = serialize_document(NetworkDocument(D.network, D.embedded, {}))
@@ -398,8 +395,7 @@ def _cmd_dual(args):
         print(out, end="")
 
 
-def _cmd_conjugate(args):
-    doc = _read_document(args)
+def _cmd_conjugate(doc, args):
     EG = _require_embedding(doc)
     if args.mod is not None and args.mod < 2:
         raise ValueError("modulus must be >= 2")
@@ -431,8 +427,7 @@ def _format_value(x):
     return _format_scalar(x)
 
 
-def _cmd_charpoly(args):
-    doc = _read_document(args)
+def _cmd_charpoly(doc, args):
     coeffs = laplacian_charpoly(doc.network)
     terms = " ".join(str(c) for c in coeffs)
     _emit(
@@ -442,8 +437,7 @@ def _cmd_charpoly(args):
     )
 
 
-def _cmd_eigmult(args):
-    doc = _read_document(args)
+def _cmd_eigmult(doc, args):
     try:
         lam = Fraction(args.eigenvalue)
     except ZeroDivisionError:
@@ -492,8 +486,7 @@ def _cmd_family(args):
         print(out, end="")
 
 
-def _cmd_export_dot(args):
-    doc = _read_document(args)
+def _cmd_export_dot(doc, args):
     G = doc.network.graph
     lines = ["graph network {"]
     for v in G.vertices:
@@ -598,7 +591,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        if "file" in args:  # the subcommands that add_doc registers
+            code = args.fn(_read_document(args.file), args)
+        else:
+            code = args.fn(args)
     except DocumentError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -94,10 +94,11 @@ def apply_op_network(N, op):
         elif w not in (1, -1):
             raise ValueError("spike weight must be a unit (over Z: +1 or -1)")
     G2 = apply_op(N.graph, op)
-    keep = set(G2.edge_ids)
-    w2 = {e: w for e, w in N.weights if e in keep}
-    d2 = {v: d for v, d in N.offsets if v in set(G2.vertices)}
-    return Network(G2, w2, d2)
+    return Network(
+        G2,
+        {e: N.weight(e) for e in G2.edge_ids},
+        {v: N.offset(v) for v in G2.vertices},
+    )
 
 
 def _strip(G, isolated, order_key):

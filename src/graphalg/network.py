@@ -41,24 +41,29 @@ class Network:
     offsets: tuple  # (vertex, scalar) pairs
 
     def __init__(self, graph, weights, offsets=None):
+        wmap = dict(weights)
+        if len(wmap) != len(graph.edges):
+            raise ValueError("weight function must cover every edge exactly")
+        ws = []
         for e, t, h in graph.edges:
             if t == h:
                 raise ValueError(f"loops are not allowed in networks (edge {e})")
-        wmap = dict(weights)
-        if set(wmap) != set(graph.edge_ids):
-            raise ValueError("weight function must cover every edge exactly")
-        for e, w in wmap.items():
+            if e not in wmap:
+                raise ValueError("weight function must cover every edge exactly")
+            w = wmap[e]
             if not isinstance(w, (int, Fraction)) or isinstance(w, bool):
                 raise TypeError(f"weight of edge {e} is not an exact scalar")
-        dmap = dict(offsets or {})
-        known = set(graph.vertices)
-        for v in dmap:
-            if v not in known:
-                raise ValueError(f"offset on unknown vertex {v}")
-        dmap = {v: dmap.get(v, 0) for v in graph.vertices}
+            ws.append((e, w))
+        if offsets:
+            dmap = dict(offsets)
+            ds = tuple((v, dmap.pop(v, 0)) for v in graph.vertices)
+            if dmap:
+                raise ValueError(f"offset on unknown vertex {next(iter(dmap))}")
+        else:
+            ds = tuple((v, 0) for v in graph.vertices)
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "weights", tuple(sorted(wmap.items())))
-        object.__setattr__(self, "offsets", tuple(sorted(dmap.items())))
+        object.__setattr__(self, "weights", tuple(ws))
+        object.__setattr__(self, "offsets", ds)
 
     @cached_property
     def _weight(self):
@@ -76,11 +81,12 @@ class Network:
         offset (1 on an integral network).  Built once and shared, so a
         reader that changes rows copies them first."""
         s = lcm(*{a.denominator for _, a in self.weights + self.offsets})
-        w = {e: a.numerator * (s // a.denominator) for e, a in self.weights}
         rows = {x: {x: a.numerator * (s // a.denominator)}
                 for x, a in self.offsets}
-        for e, t, h in self.graph.edges:
-            a, rt, rh = w[e], rows[t], rows[h]
+        # the weights are in edge order
+        for (_, t, h), (_, a) in zip(self.graph.edges, self.weights):
+            a = a.numerator * (s // a.denominator)
+            rt, rh = rows[t], rows[h]
             rt[t] += a
             rh[h] += a
             rt[h] = rt.get(h, 0) - a
@@ -121,11 +127,7 @@ class Network:
         return True
 
     def is_integral(self):
-        return all(
-            (isinstance(w, int) or w.denominator == 1) for _, w in self.weights
-        ) and all(
-            (isinstance(d, int) or d.denominator == 1) for _, d in self.offsets
-        )
+        return self._laplacian[1] == 1
 
     @staticmethod
     def standard(graph):

@@ -7,9 +7,10 @@ three parts are equal however they were built.  Undirected edges are
 stored once (with an id, a tail, and a head); each one stands for the
 pair of oriented edges ``(eid, +1)`` and ``(eid, -1)``, and reversal
 flips the sign.  ``star(x)`` is the set of oriented edges pointed away
-from x, so loops contribute both orientations.  A graph builds its edge
-map and its stars once, on first use, and hands out read-only views of
-them; a morphism does the same with its vertex and edge maps.
+from x, so loops contribute both orientations.  A graph checks its parts
+once, when it is built.  It builds its edge ids, interior, edge map and
+stars once, on first use, and hands out read-only views of them; a
+morphism does the same with its vertex and edge maps.
 
 Morphisms may collapse edges to vertices; :func:`validate_morphism`
 checks the local constant-fiber-size condition and returns the local
@@ -52,11 +53,11 @@ class PartialGraph:
 
     # -- basic accessors ------------------------------------------------
 
-    @property
+    @cached_property
     def interior(self):
         return tuple(v for v in self.vertices if v not in self.boundary)
 
-    @property
+    @cached_property
     def edge_ids(self):
         return tuple(e for e, _, _ in self.edges)
 
@@ -178,14 +179,11 @@ def _check_parts(known, boundary, edges):
         known.issuperset(map(_TAIL, edges))
         and known.issuperset(map(_HEAD, edges))
     ):
-        stray = {x for _, t, h in edges for x in (t, h)} - known
-        raise ValueError(f"edge endpoint {min(stray)} is not a vertex")
-
-
-def validate_graph(G):
-    """Check the boundary/interior partition and edge endpoints."""
-    _check_parts(set(G.vertices), G.boundary, G.edges)
-    return True
+        e, t, h = next(x for x in edges if not known.issuperset(x[1:]))
+        raise ValueError(
+            f"edge endpoint {h if t in known else t} is not a vertex"
+            f" (edge {e} references unknown vertices)"
+        )
 
 
 COLLAPSED = "vertex"

@@ -68,15 +68,16 @@ class EmbeddedPartialGraph:
 
     @cached_property
     def _faces(self):
-        """Every face of the augmented map, walked once after the
-        rotation and boundary order are checked.  An invalid embedding
-        raises ValueError here on every access."""
+        """The faces of the embedding, outside of the circle dropped,
+        walked once after the rotation and boundary order are checked.
+        An invalid embedding raises ValueError here on every access."""
         G = self.graph
-        rmap = self.rmap
-        if set(rmap) != set(G.vertices):
+        if [v for v, _ in self.rotation] != list(G.vertices):
             raise ValueError("rotation must cover every vertex exactly")
-        for v, darts in rmap.items():
-            if sorted(darts) != sorted(G.star(v)):
+        for v, darts in self.rotation:
+            # a star's darts are distinct, so this rejects repeated darts
+            star = G.star(v)
+            if len(darts) != len(star) or set(darts) != set(star):
                 raise ValueError(f"rotation at {v} does not list its star")
         if sorted(self.boundary_order) != sorted(G.boundary):
             raise ValueError("boundary order must enumerate the boundary")
@@ -87,7 +88,10 @@ class EmbeddedPartialGraph:
         euler = len(G.vertices) - (len(G.edges) + b) + len(faces)
         if euler != 2:
             raise ValueError("rotation system is not a disk embedding")
-        return faces
+        if b:
+            faces = [f for f in faces if (ARC, 0, 1) not in f]
+        faces.sort(key=lambda f: min(map(_dart_key, f)))
+        return tuple(Face(f, any(map(_is_arc, f))) for f in faces)
 
 
 def validate_embedding(EG):
@@ -152,10 +156,7 @@ class Face:
     included) and whether it has a side along the circle."""
 
     darts: tuple
-
-    @property
-    def is_boundary(self):
-        return any(_is_arc(d) for d in self.darts)
+    is_boundary: bool
 
     @property
     def arc_indices(self):
@@ -169,11 +170,7 @@ def _dart_key(d):
 def trace_faces(EG):
     """The faces of the embedded graph (the outside of the circle is
     dropped), deterministically ordered."""
-    faces = EG._faces
-    if EG.boundary_order:
-        outer_dart = (ARC, 0, 1)
-        faces = [f for f in faces if outer_dart not in f]
-    return [Face(f) for f in sorted(faces, key=lambda f: min(map(_dart_key, f)))]
+    return list(EG._faces)
 
 
 @dataclass(frozen=True)

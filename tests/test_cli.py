@@ -101,6 +101,13 @@ class TestDocumentFormat:
             ("vertex 0 interior\nedge 0 0 0\n", "loop"),
             ("", "no vertices"),
             ("vertex 0 boundary\nrotation 0 5\n", "sign"),
+            ("vertex -3 interior\n", "line 1: negative id '-3'"),
+            ("vertex 0 boundary\nrotation 0 +-3\n", "line 2: negative id '-3'"),
+            ("vertex 0 interior d=1 d=2\n", "line 1: repeated field 'd='"),
+            (
+                "vertex 0 interior\nvertex 1 interior\nedge 0 0 1 w=1 w=2\n",
+                "line 3: repeated field 'w='",
+            ),
         ],
     )
     def test_malformed_documents_rejected(self, text, fragment):

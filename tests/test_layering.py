@@ -235,6 +235,17 @@ def connected_multigraphs(draw):
     return PartialGraph(range(nv), boundary, dict(enumerate(pairs)))
 
 
+@st.composite
+def offset_networks(draw):
+    """Loopless multigraphs with weights +1 or -1, so that every spike
+    applies, and nonzero offsets."""
+    G = draw(multigraphs())
+    G = G.induced(G.vertices, [e for e, t, h in G.edges if t != h], G.boundary)
+    w = {e: draw(st.sampled_from([1, -1])) for e in G.edge_ids}
+    d = {v: draw(st.integers(-3, 3).filter(bool)) for v in G.vertices}
+    return Network(G, w, d)
+
+
 def naive_wedge_split(G):
     """Reference: delete each boundary vertex in turn and rescan."""
     if not G.is_connected() or len(G.vertices) < 3:
@@ -274,6 +285,18 @@ class TestWorklistAgainstReference:
     @given(connected_multigraphs())
     def test_find_wedge_split(self, G):
         assert find_wedge_split(G) == naive_wedge_split(G)
+
+    @settings(max_examples=200, deadline=None)
+    @given(offset_networks())
+    def test_apply_op_network_restricts_the_maps(self, N):
+        for op in find_strippable(N.graph):
+            G2 = apply_op(N.graph, op)
+            expected = Network(
+                G2,
+                {e: w for e, w in N.weights if e in set(G2.edge_ids)},
+                {v: d for v, d in N.offsets if v in set(G2.vertices)},
+            )
+            assert apply_op_network(N, op) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(multigraphs())

@@ -55,6 +55,13 @@ class TestEmbedding:
                 EmbeddedPartialGraph(EG.graph, rmap, EG.boundary_order)
             )
 
+    def test_repeated_dart_rejected(self):
+        # two parallel edges: "rotation 0 +0 +0" has the star's length
+        G = PartialGraph(range(2), {0}, {0: (0, 1), 1: (0, 1)})
+        rotation = {0: ((0, 1), (0, 1)), 1: ((0, -1), (1, -1))}
+        with pytest.raises(ValueError, match="rotation at 0"):
+            validate_embedding(EmbeddedPartialGraph(G, rotation, (0,)))
+
     def test_wrong_boundary_order_rejected(self):
         EG = embedded_triangle()
         with pytest.raises(ValueError):
