@@ -68,9 +68,9 @@ class EmbeddedPartialGraph:
 
     @cached_property
     def _faces(self):
-        """The faces of the embedding, outside of the circle dropped,
-        walked once after the rotation and boundary order are checked.
-        An invalid embedding raises ValueError here on every access."""
+        """Every face of the augmented map as a :class:`Face`, walked
+        once after the rotation and boundary order are checked.  An
+        invalid embedding raises ValueError here on every access."""
         G = self.graph
         if [v for v, _ in self.rotation] != list(G.vertices):
             raise ValueError("rotation must cover every vertex exactly")
@@ -88,10 +88,8 @@ class EmbeddedPartialGraph:
         euler = len(G.vertices) - (len(G.edges) + b) + len(faces)
         if euler != 2:
             raise ValueError("rotation system is not a disk embedding")
-        if b:
-            faces = [f for f in faces if (ARC, 0, 1) not in f]
-        faces.sort(key=lambda f: min(map(_dart_key, f)))
-        return tuple(Face(f, any(map(_is_arc, f))) for f in faces)
+        arcs = {(ARC, i, s) for i in range(b) for s in (1, -1)}
+        return tuple(Face(f, not arcs.isdisjoint(f)) for f in faces)
 
 
 def validate_embedding(EG):
@@ -170,7 +168,11 @@ def _dart_key(d):
 def trace_faces(EG):
     """The faces of the embedded graph (the outside of the circle is
     dropped), deterministically ordered."""
-    return list(EG._faces)
+    faces = EG._faces
+    if EG.boundary_order:
+        outer_dart = (ARC, 0, 1)
+        faces = [f for f in faces if outer_dart not in f.darts]
+    return sorted(faces, key=lambda f: min(map(_dart_key, f.darts)))
 
 
 @dataclass(frozen=True)
