@@ -405,11 +405,14 @@ def _cmd_conjugate(doc, args):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            v, val = line.split()
-            scalar = _parse_scalar(val, line_no)
+            parts = line.split()
+            if len(parts) != 2:
+                raise DocumentError(line_no, "expected: <vertex> <value>")
+            vid = _parse_id(parts[0], line_no)
+            scalar = _parse_scalar(parts[1], line_no)
             if args.mod is not None:
                 scalar = Mod(scalar, args.mod)
-            values[int(v)] = scalar
+            values[vid] = scalar
     v, D = harmonic_conjugate(doc.network, EG, values)
     lines = [
         f"{x} {_format_value(v(x))}" for x in D.network.graph.vertices

@@ -284,8 +284,8 @@ def snf(A):
     Returns :class:`SnfResult` with U*A*V = S exactly.  This is the
     certificate and test oracle for small inputs: its working entries
     are not bounded and can grow exponentially.  Production code routes
-    through :func:`smith_diagonal`, which returns the same diagonal and
-    rank without U and V.
+    through ``_smith_rows`` (:func:`smith_diagonal` for a matrix), which
+    returns the same diagonal and rank without U and V.
     """
     M = _require_integer(A)
     m, n = A.rows, A.cols

@@ -24,6 +24,7 @@ from .partial_graph import PartialGraph
 ISOLATED = "isolated"
 SPIKE = "spike"
 EDGE_DEL = "edge"
+_KIND_RANK = {ISOLATED: 0, SPIKE: 1, EDGE_DEL: 2}
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,7 @@ class LayerOp:
     interior_vertex: int = -1  # spike: the endpoint that becomes boundary
 
     def sort_key(self):
-        order = {ISOLATED: 0, SPIKE: 1, EDGE_DEL: 2}
-        return (order[self.kind], self.vertex, self.edge)
+        return (_KIND_RANK[self.kind], self.vertex, self.edge)
 
 
 def find_strippable(G):
@@ -77,10 +77,13 @@ def _apply(G, op):
         return G.delete_vertex(op.vertex)
     if op.kind == EDGE_DEL:
         return G.delete_edge(op.edge)
-    # spike: delete the boundary endpoint and the edge; the interior
-    # endpoint becomes boundary
-    G2 = G.delete_vertex(op.vertex)
-    return G2.with_boundary(G2.boundary | {op.interior_vertex})
+    # spike: delete the boundary endpoint and its one edge; the
+    # interior endpoint becomes boundary
+    return PartialGraph(
+        [v for v in G.vertices if v != op.vertex],
+        G.boundary - {op.vertex} | {op.interior_vertex},
+        [(e, t, h) for e, t, h in G.edges if e != op.edge],
+    )
 
 
 def apply_op_network(N, op):
@@ -302,38 +305,42 @@ class ReductionTrace:
         return [g for g in self.leaves() if not g.is_empty()]
 
 
-def _cut_vertices(G):
-    """Cut vertices of a connected graph: one iterative depth-first
-    pass with low points."""
-    adj = {v: set() for v in G.vertices}
-    for _, t, h in G.edges:
-        if t != h:
-            adj[t].add(h)
-            adj[h].add(t)
-    root = G.vertices[0]
-    order, low, cut = {root: 0}, {root: 0}, set()
-    root_children = 0
-    stack = [(root, iter(adj[root]))]
-    while stack:
-        x, it = stack[-1]
-        y = next(it, None)
-        if y is None:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[x])
-                if p != root and low[x] >= order[p]:
-                    cut.add(p)
-        elif y not in order:
-            order[y] = low[y] = len(order)
-            if x == root:
-                root_children += 1
-            stack.append((y, iter(adj[y])))
-        else:
-            low[x] = min(low[x], order[y])
-    if root_children > 1:
-        cut.add(root)
-    return cut
+def _low_points(G):
+    """(cut vertices, bridges) of G, the bridges as the ids of the
+    edges on no cycle: one iterative depth-first pass with low points
+    (Tarjan 1972).  The pass walks darts and skips only the edge it
+    came in by, so a parallel edge counts as a back edge."""
+    order, low, cut, bridges = {}, {}, set(), set()
+    for root in G.vertices:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        root_children = 0
+        stack = [(root, None, iter(G.star(root)))]
+        while stack:
+            x, via, it = stack[-1]
+            oe = next(it, None)
+            if oe is None:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[x])
+                    if low[x] > order[p]:
+                        bridges.add(via)
+                    if p != root and low[x] >= order[p]:
+                        cut.add(p)
+            elif oe[0] != via:
+                y = G.o_head(oe)
+                if y not in order:
+                    order[y] = low[y] = len(order)
+                    if x == root:
+                        root_children += 1
+                    stack.append((y, oe[0], iter(G.star(y))))
+                else:
+                    low[x] = min(low[x], order[y])
+        if root_children > 1:
+            cut.add(root)
+    return cut, bridges
 
 
 def find_wedge_split(G):
@@ -343,7 +350,7 @@ def find_wedge_split(G):
     x glued back on."""
     if not G.is_connected() or len(G.vertices) < 3:
         return None
-    cuts = _cut_vertices(G) & G.boundary
+    cuts = _low_points(G)[0] & G.boundary
     if not cuts:
         return None
     x = min(cuts)
@@ -456,49 +463,17 @@ def degenerate_weights_general(G):
     return N, u
 
 
-def _bridges(G):
-    """Edge ids not lying on any cycle."""
-    bridges = set()
-    for e in G.edge_ids:
-        if G.is_loop(e):
-            continue
-        H = G.delete_edge(e)
-        t, h = G.edge_dict[e]
-        comp = next(c for c in H.connected_components() if t in c)
-        if h not in comp:
-            bridges.add(e)
-    return bridges
-
-
 def _fundamental_cycles(G, cycle_edges):
     """Oriented cycles (lists of oriented edges) covering every edge of
     ``cycle_edges``: fundamental cycles of a spanning forest."""
-    # build a spanning forest with parent pointers
-    parent = {}
-    parent_edge = {}
-    visited = set()
-    tree_edges = set()
-    for root in G.vertices:
-        if root in visited:
-            continue
-        visited.add(root)
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for oe in G.star(x):
-                y = G.o_head(oe)
-                if y not in visited:
-                    visited.add(y)
-                    parent[y] = x
-                    parent_edge[y] = oe  # oriented x -> y
-                    tree_edges.add(oe[0])
-                    stack.append(y)
+    parent = G.spanning_forest()
+    tree_edges = {oe[0] for oe in parent.values()}
 
     def path_to_root(v):
         out = []
         while v in parent:
-            out.append(parent_edge[v])
-            v = parent[v]
+            out.append(parent[v])
+            v = G.o_tail(parent[v])
         return out  # oriented edges pointing away from the root
 
     cycles = []
@@ -531,12 +506,10 @@ def degenerate_weights_normalized(G):
     every interior vertex."""
     if not is_irreducible(G):
         raise ValueError("input must be irreducible")
-    S = set(G.edge_ids) - _bridges(G)
+    bridges = _low_points(G)[1]
+    S = set(G.edge_ids) - bridges
     # potential u: components of G minus the cycle edges
-    stripped = G
-    for e in sorted(S):
-        stripped = stripped.delete_edge(e)
-    comps = stripped.connected_components()
+    comps = G.induced(G.vertices, bridges, G.boundary).connected_components()
     u = {}
     counter = 1
     for comp in sorted(comps, key=min):
@@ -566,9 +539,10 @@ def degenerate_weights_normalized(G):
     t = 1
     while True:
         alphas = [Fraction(t) ** j for j in range(len(cycles))]
-        w = {e: Fraction(1) for e in G.edge_ids}
-        for e in S:
-            w[e] = sum(a * wmap.get(e, 0) for a, wmap in zip(alphas, wj))
+        w = {e: Fraction(0 if e in S else 1) for e in G.edge_ids}
+        for a, wmap in zip(alphas, wj):
+            for e, x in wmap.items():
+                w[e] += a * x
         if all(w[e] != 0 for e in G.edge_ids):
             break
         t += 1

@@ -104,10 +104,6 @@ class PartialGraph:
     def neighbors(self, x):
         return sorted({self.o_head(oe) for oe in self.star(x)})
 
-    def is_loop(self, eid):
-        t, h = self._ends[eid]
-        return t == h
-
     def is_empty(self):
         return not self.vertices
 
@@ -160,6 +156,25 @@ class PartialGraph:
 
     def is_connected(self):
         return len(self.connected_components()) <= 1
+
+    def spanning_forest(self):
+        """A spanning forest as ``{vertex: dart from its parent}``, in
+        discovery order.  Each component is walked from its least
+        vertex, its root, which is not a key; a vertex is marked when
+        it is pushed, and the stack pops the last vertex pushed."""
+        parent = {}
+        for root in self.vertices:
+            if root in parent:
+                continue
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for oe in self.star(x):
+                    y = self.o_head(oe)
+                    if y != root and y not in parent:
+                        parent[y] = oe
+                        stack.append(y)
+        return parent
 
 
 _EID, _TAIL, _HEAD = itemgetter(0), itemgetter(1), itemgetter(2)

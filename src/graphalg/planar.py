@@ -316,21 +316,15 @@ def harmonic_conjugate(N, EG, u):
         t, h = G.edge_dict[e]
         return N.weight(e) * (uv[h] - uv[t])
 
-    v = {0: 0 * next(iter(uv.values()))}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for oe in Gd.star(x):
-            y = Gd.o_head(oe)
-            if y in v:
-                continue
-            e, s = oe
-            # dv across the dual edge, oriented tail -> head
-            dv = flux(e)
-            v[y] = v[x] + dv if s > 0 else v[x] - dv
-            frontier.append(y)
-    if len(v) != len(Gd.vertices):
+    forest = Gd.spanning_forest()
+    if len(forest) != len(Gd.vertices) - 1:
         raise AssertionError("dual graph is disconnected")
+    v = {0: 0 * next(iter(uv.values()))}
+    for y, (e, s) in forest.items():
+        # dv across the dual edge, oriented tail -> head
+        dv = flux(e)
+        x = Gd.o_tail((e, s))
+        v[y] = v[x] + dv if s > 0 else v[x] - dv
     for e, t, h in Gd.edges:
         if v[h] - v[t] != flux(e):
             raise ValueError(

@@ -177,6 +177,22 @@ class TestCommands:
         values.write_text("0 0\n1 5\n2 1\n")
         assert main(["conjugate", "--values", str(values), triangle_file]) == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0\n", "line 1: expected: <vertex> <value>"),
+            ("0 0\n1 2 3\n", "line 2: expected: <vertex> <value>"),
+            ("x 1\n", "line 1: bad integer 'x'"),
+        ],
+    )
+    def test_conjugate_malformed_values(
+        self, triangle_file, tmp_path, capsys, text, message
+    ):
+        values = tmp_path / "u.txt"
+        values.write_text(text)
+        assert main(["conjugate", "--values", str(values), triangle_file]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
     def test_charpoly_and_eigmult(self, triangle_file, capsys):
         assert main(["charpoly", triangle_file]) == 0
         assert "1 " in capsys.readouterr().out

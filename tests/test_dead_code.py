@@ -4,7 +4,12 @@ The source trees (src/, tests/ and benchmark/) are parsed with ``ast``,
 not imported.  A definition under src/graphalg counts as used when its
 name appears outside its own body: as a name, an attribute, an imported
 name, or a string that is an identifier (the benchmark's tracer names
-what it wraps by such strings).  Dunder methods are exempt.
+what it wraps by such strings).  A bare name counts only where no
+enclosing function binds it (as a parameter, an assignment, loop,
+comprehension, with or except target, or a nested definition), so a
+local variable does not keep a library function of its name alive.  A
+definition nested in a function counts as used when its enclosing
+function loads its name outside its body.  Dunder methods are exempt.
 
 Matching by name cannot tell two definitions with one name apart, nor a
 definition from a builtin or a builtin type's method of its name.  Such
@@ -48,12 +53,54 @@ COLLISIONS = {
 }
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def own_nodes(scope):
+    """The nodes of a function's own scope: its body and signature,
+    entering no function, lambda or class defined in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def bound_names(scope):
+    """The names that a function binds in its own scope."""
+    args = scope.args
+    names = {
+        a.arg
+        for a in args.posonlyargs + args.args + args.kwonlyargs
+        + [args.vararg, args.kwarg]
+        if a is not None
+    }
+    for node in own_nodes(scope):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, DEFINITIONS):
+            names.add(node.name)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+    return names
+
+
 def references(node):
-    """Count the names that ``node`` refers to, by identifier."""
+    """Count the names that ``node`` refers to, by identifier; a bare
+    name counts only where no enclosing function within ``node`` binds
+    it."""
     names = Counter()
-    for sub in ast.walk(node):
+    stack = [(node, frozenset())]
+    while stack:
+        sub, bound = stack.pop()
+        if isinstance(sub, FUNCTIONS):
+            bound = bound | bound_names(sub)
+        stack.extend((child, bound) for child in ast.iter_child_nodes(sub))
         if isinstance(sub, ast.Name):
-            names[sub.id] += 1
+            if sub.id not in bound:
+                names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             names[sub.attr] += 1
         elif isinstance(sub, ast.alias):
@@ -87,6 +134,13 @@ def definitions(module, prefix=""):
             yield from definitions(node, prefix)
 
 
+def loads(node, name):
+    """How many bare names in ``node`` read ``name``."""
+    return sum(
+        isinstance(sub, ast.Name) and sub.id == name for sub in ast.walk(node)
+    )
+
+
 def test_every_definition_is_referenced():
     parsed = parse_trees()
     total = Counter()
@@ -97,15 +151,24 @@ def test_every_definition_is_referenced():
     for path, module in parsed.items():
         if library not in path.parents:
             continue
+        enclosing = {
+            node: scope
+            for scope in ast.walk(module)
+            if isinstance(scope, FUNCTIONS)
+            for node in own_nodes(scope)
+            if isinstance(node, DEFINITIONS)
+        }
         for node in ast.walk(module):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
+            if not isinstance(node, DEFINITIONS):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if total[name] - references(node)[name] == 0:
+            if node in enclosing:
+                used = loads(enclosing[node], name) > loads(node, name)
+            else:
+                used = total[name] > references(node)[name]
+            if not used:
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unused, "defined but never referenced: " + ", ".join(unused)
 

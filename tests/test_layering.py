@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphalg.families import complete_bipartite_bi, complete_graph, cycle
+from graphalg.families import complete_bipartite_bi, complete_graph, cycle, wheel
 from graphalg.layering import (
     EDGE_DEL,
     ISOLATED,
     SPIKE,
     LayerOp,
+    _low_points,
     apply_op,
     apply_op_network,
     degenerate_weights_general,
@@ -195,6 +196,113 @@ class TestDegenerateWeights:
     def test_normalized_rejects_reducible(self):
         with pytest.raises(ValueError):
             degenerate_weights_normalized(path(3, boundary={0}))
+
+
+def random_multigraph(rng, nv, ne, nb):
+    """Random loopless multigraph on nv vertices, about a sixth of its
+    edges doubled, with nb random boundary vertices."""
+    edges = []
+    for e in range(ne):
+        t, h = rng.sample(range(nv), 2)
+        edges.append((e, t, h))
+        if rng.random() < 0.15:
+            edges.append((ne + e, h, t))
+    return PartialGraph(range(nv), rng.sample(range(nv), nb), edges)
+
+
+# two triangles joined by the bridge 6
+JOINED_TRIANGLES = PartialGraph(
+    range(6),
+    (),
+    {0: (0, 1), 1: (1, 2), 2: (2, 0), 3: (3, 4), 4: (4, 5), 5: (5, 3), 6: (2, 3)},
+)
+
+
+def irreducible_sweep():
+    """Seeded irreducible multigraphs, parallel edges and interior
+    bridges among them."""
+    rng = random.Random(17)
+    graphs = [JOINED_TRIANGLES]
+    while len(graphs) < 60:
+        nv = rng.randint(3, 9)
+        G = random_multigraph(rng, nv, rng.randint(nv, 2 * nv + 2), rng.randint(0, 3))
+        if is_irreducible(G):
+            graphs.append(G)
+    return graphs
+
+
+class TestDegenerateNormalized:
+    def test_sweep(self):
+        graphs = irreducible_sweep()
+        parallel = bridged = 0
+        for G in graphs:
+            N, u = degenerate_weights_normalized(G)
+            assert N.is_normalized()
+            assert in_U0(N, u)
+            assert all(u(v) != 0 for v in G.interior)
+            assert all(w != 0 for _, w in N.weights)
+            assert not is_nondegenerate(N)
+            pairs = [frozenset((t, h)) for _, t, h in G.edges]
+            parallel += len(set(pairs)) < len(pairs)
+            bridged += bool(_low_points(G)[1])
+        assert parallel >= 10 and bridged >= 5
+
+    @pytest.mark.parametrize(
+        "G, weights",
+        [
+            (
+                wheel(5).graph,
+                ["7", "-1", "-2", "-4", "5", "-27/5", "2", "1/3", "1", "16"],
+            ),
+            (JOINED_TRIANGLES, ["-1", "-1", "1/2", "-1", "-1", "1/2", "1"]),
+        ],
+        ids=["W5", "joined-triangles"],
+    )
+    def test_pinned_weights(self, G, weights):
+        N, _ = degenerate_weights_normalized(G)
+        assert [str(w) for _, w in N.weights] == weights
+
+    def test_graph_builds_do_not_grow_with_size(self, monkeypatch):
+        wheels = [wheel(n).graph for n in (25, 50, 100)]
+        builds = []
+        init = PartialGraph.__init__
+
+        def counting_init(self, *args):
+            builds.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(PartialGraph, "__init__", counting_init)
+        counts = []
+        for G in wheels:
+            del builds[:]
+            degenerate_weights_normalized(G)
+            counts.append(len(builds))
+        assert counts[0] == counts[1] == counts[2]
+
+
+def components_without(G, vertex=None, edge=None):
+    vs = [v for v in G.vertices if v != vertex]
+    es = [x for x in G.edges if x[0] != edge and vertex not in x[1:]]
+    return len(PartialGraph(vs, (), es).connected_components())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_low_points_against_deletion(seed):
+    """A bridge is an edge whose deletion adds a component, a cut vertex
+    a vertex whose deletion does; the graphs have loops, parallel edges
+    and several components."""
+    rng = random.Random(seed)
+    nv = rng.randint(1, 9)
+    edges = [
+        (e, rng.randrange(nv), rng.randrange(nv))
+        for e in range(rng.randint(0, 2 * nv))
+    ]
+    edges += [(100 + e, h, t) for e, t, h in edges if rng.random() < 0.2]
+    G = PartialGraph(range(nv), (), edges)
+    k = len(G.connected_components())
+    cut, bridges = _low_points(G)
+    assert bridges == {e for e in G.edge_ids if components_without(G, edge=e) > k}
+    assert cut == {v for v in G.vertices if components_without(G, vertex=v) > k}
 
 
 # -- the worklist strip against a naive reference ----------------------

@@ -1,5 +1,7 @@
 """Unit tests for graphs with boundary and their morphisms."""
 
+import random
+
 import pytest
 
 from graphalg.network import Network
@@ -50,6 +52,27 @@ class TestPartialGraph:
         assert G.o_tail((1, 1)) == 1 and G.o_head((1, 1)) == 2
         assert G.o_tail((1, -1)) == 2 and G.o_head((1, -1)) == 1
         assert rev((1, 1)) == (1, -1)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_spanning_forest_covers_each_non_root_once(self, seed):
+        rng = random.Random(seed)
+        nv = rng.randint(1, 10)
+        edges = [
+            (e, rng.randrange(nv), rng.randrange(nv))
+            for e in range(rng.randint(0, 2 * nv))
+        ]
+        G = PartialGraph(range(nv), (), edges)
+        forest = G.spanning_forest()
+        comps = G.connected_components()
+        roots = {min(c) for c in comps}
+        assert set(forest) == set(G.vertices) - roots
+        assert len({e for e, _ in forest.values()}) == len(forest)
+        found = list(roots)
+        for v, oe in forest.items():
+            # each dart leads from an earlier vertex of v's component to v
+            assert oe in G.star(G.o_tail(oe)) and G.o_head(oe) == v
+            assert G.o_tail(oe) in found
+            found.append(v)
 
     def test_cached_lookups_are_read_only(self):
         G = triangle()
