@@ -308,19 +308,34 @@ class ReductionTrace:
 def _low_points(G):
     """(cut vertices, bridges) of G, the bridges as the ids of the
     edges on no cycle: one iterative depth-first pass with low points
-    (Tarjan 1972).  The pass walks darts and skips only the edge it
-    came in by, so a parallel edge counts as a back edge."""
+    (Tarjan 1972).  The pass walks (edge id, neighbour) pairs and skips
+    only the edge it came in by, so a parallel edge counts as a back
+    edge."""
+    adj = {v: [] for v in G.vertices}
+    for e, t, h in G.edges:
+        adj[t].append((e, h))
+        adj[h].append((e, t))
     order, low, cut, bridges = {}, {}, set(), set()
     for root in G.vertices:
         if root in order:
             continue
         order[root] = low[root] = len(order)
         root_children = 0
-        stack = [(root, None, iter(G.star(root)))]
+        stack = [(root, None, iter(adj[root]))]
         while stack:
             x, via, it = stack[-1]
-            oe = next(it, None)
-            if oe is None:
+            for e, y in it:
+                if e == via:
+                    continue
+                if y in order:
+                    low[x] = min(low[x], order[y])
+                    continue
+                order[y] = low[y] = len(order)
+                if x == root:
+                    root_children += 1
+                stack.append((y, e, iter(adj[y])))
+                break
+            else:
                 stack.pop()
                 if stack:
                     p = stack[-1][0]
@@ -329,15 +344,6 @@ def _low_points(G):
                         bridges.add(via)
                     if p != root and low[x] >= order[p]:
                         cut.add(p)
-            elif oe[0] != via:
-                y = G.o_head(oe)
-                if y not in order:
-                    order[y] = low[y] = len(order)
-                    if x == root:
-                        root_children += 1
-                    stack.append((y, oe[0], iter(G.star(y))))
-                else:
-                    low[x] = min(low[x], order[y])
         if root_children > 1:
             cut.add(root)
     return cut, bridges
