@@ -125,9 +125,7 @@ def parse_trees():
 def definitions(module, prefix=""):
     """Yield ``(qualified name, node)`` for every function and class."""
     for node in ast.iter_child_nodes(module):
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
+        if isinstance(node, DEFINITIONS):
             yield prefix + node.name, node
             yield from definitions(node, f"{prefix}{node.name}.")
         else:
@@ -137,7 +135,10 @@ def definitions(module, prefix=""):
 def loads(node, name):
     """How many bare names in ``node`` read ``name``."""
     return sum(
-        isinstance(sub, ast.Name) and sub.id == name for sub in ast.walk(node)
+        isinstance(sub, ast.Name)
+        and sub.id == name
+        and isinstance(sub.ctx, ast.Load)
+        for sub in ast.walk(node)
     )
 
 

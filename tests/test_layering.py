@@ -198,18 +198,6 @@ class TestDegenerateWeights:
             degenerate_weights_normalized(path(3, boundary={0}))
 
 
-def random_multigraph(rng, nv, ne, nb):
-    """Random loopless multigraph on nv vertices, about a sixth of its
-    edges doubled, with nb random boundary vertices."""
-    edges = []
-    for e in range(ne):
-        t, h = rng.sample(range(nv), 2)
-        edges.append((e, t, h))
-        if rng.random() < 0.15:
-            edges.append((ne + e, h, t))
-    return PartialGraph(range(nv), rng.sample(range(nv), nb), edges)
-
-
 # two triangles joined by the bridge 6
 JOINED_TRIANGLES = PartialGraph(
     range(6),
@@ -219,13 +207,17 @@ JOINED_TRIANGLES = PartialGraph(
 
 
 def irreducible_sweep():
-    """Seeded irreducible multigraphs, parallel edges and interior
-    bridges among them."""
+    """Seeded irreducible loopless multigraphs, about a sixth of their
+    edges doubled, with interior bridges among them."""
     rng = random.Random(17)
     graphs = [JOINED_TRIANGLES]
     while len(graphs) < 60:
         nv = rng.randint(3, 9)
-        G = random_multigraph(rng, nv, rng.randint(nv, 2 * nv + 2), rng.randint(0, 3))
+        edges = []
+        for e in range(rng.randint(nv, 2 * nv + 2)):
+            t, h = rng.sample(range(nv), 2)
+            edges += [(e, t, h)] + [(100 + e, h, t)] * (rng.random() < 0.15)
+        G = PartialGraph(range(nv), rng.sample(range(nv), rng.randint(0, 3)), edges)
         if is_irreducible(G):
             graphs.append(G)
     return graphs
