@@ -42,6 +42,8 @@ from .fundamental import (
     upsilon,
 )
 from .layering import (
+    EDGE_DEL,
+    SPIKE,
     is_completely_reducible,
     is_layerable,
     reduce_to_flower,
@@ -303,9 +305,9 @@ def _cmd_layerable(doc, args):
     if filtration is not None:
         steps = []
         for op in filtration.ops:
-            if op.kind == "spike":
+            if op.kind == SPIKE:
                 steps.append(f"spike {op.vertex} via edge {op.edge}")
-            elif op.kind == "edge":
+            elif op.kind == EDGE_DEL:
                 steps.append(f"boundary-edge {op.edge}")
             else:
                 steps.append(f"isolated {op.vertex}")

@@ -5,7 +5,8 @@ l_1, ..., l_m is the column (u(l_1), ..., u(l_m), Lu(l_1), ..., Lu(l_m)).
 The isolated stage acts on boundary data by the offset shear
 Lu = d u, and each layerable extension by an elementary symplectic
 move that changes at most two entries: a spike at one label or a
-boundary edge between two labels.  A :class:`BoundaryTransform` stores
+boundary edge between two labels.  A plan reads these moves off the
+strip's own ``LayerOp``s.  A :class:`BoundaryTransform` stores
 the move, not its 2m x 2m matrix; applying the moves in turn continues
 u across the whole filtration with O(1) arithmetic per extension.
 ``.matrix`` and ``ContinuationPlan.total_matrix`` derive the dense
@@ -17,6 +18,9 @@ ker(A acting on M^{|S|}): run the continuation over the complementary
 filtration starting from the isolated stage S + boundary, feed in the
 unit vectors on S and zeros on the boundary, and read off the final
 Lu-block; u extends harmonically exactly when that block vanishes.
+``find_layering_set`` finds such an S greedily; after each promoted
+vertex it re-strips only the last flower, which ends where re-stripping
+the whole graph would.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from .exact_algebra import (
 )
 from .fundamental import eigen_multiplicity
 from .layering import (
-    EDGE_DEL,
     SPIKE,
+    LayerOp,
     interiorize,
     is_layerable,
     reduce_to_flower,
@@ -88,13 +92,10 @@ class BoundaryTransform:
         return _matrix_of(self.apply, 2 * self.m)
 
 
-def _matrix_of(move, n, cols=None):
-    """The n x cols matrix (n x n by default) whose k-th column is
-    ``move(e_k)``, e_k the k-th unit vector of length n."""
-    columns = [
-        move([int(i == k) for i in range(n)])
-        for k in range(n if cols is None else cols)
-    ]
+def _matrix_of(move, n):
+    """The n x n matrix whose k-th column is ``move(e_k)``, e_k the k-th
+    unit vector of length n."""
+    columns = [move([int(i == k) for i in range(n)]) for k in range(n)]
     return ExactMatrix([[c[r] for c in columns] for r in range(n)])
 
 
@@ -171,30 +172,27 @@ class ContinuationPlan:
         return _matrix_of(self.apply, 2 * self.m)
 
 
-def _build_plan(N, initial_labels, steps):
-    """Shared plan builder.  ``steps`` is a list of ("spike", anchor,
-    new_vertex, edge) / ("edge", v1, v2, edge) in application order;
-    label indices are tracked as the anchors turn interior."""
-    dmap = N.dmap
-    wmap = N.wmap
-    label = list(initial_labels)
-    m = len(label)
-    transforms = [initial_transform([dmap[v] for v in label])]
+def _build_plan(N, initial_labels, ops):
+    """Shared plan builder.  ``ops`` are strip moves in the order their
+    extensions are applied: a spike adjoins ``op.vertex`` at the label
+    of ``op.interior_vertex``, which turns interior, and a boundary edge
+    joins the labels of its two ends."""
+    ends = N.graph.edge_dict
+    dmap, wmap = N.dmap, N.wmap
+    m = len(initial_labels)
+    index = {v: j for j, v in enumerate(initial_labels, 1)}
+    transforms = [initial_transform([dmap[v] for v in initial_labels])]
     records = [None]
-    for step in steps:
-        if step[0] == "spike":
-            _, anchor, new_vertex, eid = step
-            j = label.index(anchor) + 1
-            transforms.append(
-                spike_transform(m, j, wmap[eid], dmap[new_vertex])
-            )
-            label[j - 1] = new_vertex
-            records.append((new_vertex, j))
+    for op in ops:
+        w = wmap[op.edge]
+        if op.kind == SPIKE:
+            j = index.pop(op.interior_vertex)
+            index[op.vertex] = j
+            transforms.append(spike_transform(m, j, w, dmap[op.vertex]))
+            records.append((op.vertex, j))
         else:
-            _, v1, v2, eid = step
-            i = label.index(v1) + 1
-            j = label.index(v2) + 1
-            transforms.append(edge_transform(m, i, j, wmap[eid]))
+            t, h = ends[op.edge]
+            transforms.append(edge_transform(m, index[t], index[h], w))
             records.append(None)
     return ContinuationPlan(
         N, tuple(initial_labels), tuple(transforms), tuple(records)
@@ -203,45 +201,31 @@ def _build_plan(N, initial_labels, steps):
 
 def continuation_plan(N):
     """Plan for continuing harmonic functions on a layerable network
-    from the isolated stage of its standard-form filtration."""
-    G = N.graph
-    remnant, strip_ops = strip_layerable(G, "network graph is not layerable")
-    steps = []
-    for op in reversed(strip_ops):
-        # undoing the strip re-adjoins what it removed
-        if op.kind == SPIKE:
-            steps.append(("spike", op.interior_vertex, op.vertex, op.edge))
-        elif op.kind == EDGE_DEL:
-            t, h = G.edge_dict[op.edge]
-            steps.append(("edge", t, h, op.edge))
-    return _build_plan(N, tuple(sorted(remnant.vertices)), steps)
+    from the isolated stage of its standard-form filtration: the strip
+    moves undone in reverse order."""
+    remnant, ops = strip_layerable(N.graph, "network graph is not layerable")
+    return _build_plan(N, tuple(sorted(remnant.vertices)), reversed(ops))
 
 
 def complementary_plan(N, S):
     """Plan for the complementary filtration of G_{S->boundary}: the
-    continuation starts from the isolated stage S + boundary (S labelled
-    first) and the strip moves of G_{S->boundary} are replayed in
-    discovery order with the spike roles swapped."""
+    continuation starts from the isolated stage S + boundary (S sorted
+    and labelled first) and replays the strip moves of G_{S->boundary}
+    in discovery order, each spike with its two endpoints swapped."""
     G = N.graph
     S = sorted(S)
     if len(set(S)) != len(S):
         raise ValueError("S has a repeated vertex")
-    Gp = interiorize(G, S)
-    remnant, strip_ops = strip_layerable(
-        Gp, "G_{S->boundary} is not layerable"
+    _, ops = strip_layerable(
+        interiorize(G, S), "G_{S->boundary} is not layerable"
     )
-    steps = []
-    for op in strip_ops:
-        if op.kind == SPIKE:
-            # the stripped boundary endpoint turns interior on the
-            # complementary side; the stripped interior endpoint is the
-            # new boundary vertex
-            steps.append(("spike", op.vertex, op.interior_vertex, op.edge))
-        elif op.kind == EDGE_DEL:
-            t, h = G.edge_dict[op.edge]
-            steps.append(("edge", t, h, op.edge))
-    initial = tuple(S) + tuple(sorted(G.boundary))
-    return _build_plan(N, initial, steps)
+    ops = [
+        LayerOp(SPIKE, op.interior_vertex, op.edge, op.vertex)
+        if op.kind == SPIKE
+        else op
+        for op in ops
+    ]
+    return _build_plan(N, tuple(S) + tuple(sorted(G.boundary)), ops)
 
 
 def continue_harmonic(plan, phi):
@@ -252,16 +236,12 @@ def continue_harmonic(plan, phi):
     if len(phi) != m:
         raise ValueError("need one value per initial label")
     data = list(phi) + [0 * v for v in phi]
-    values = {}
+    values = dict(zip(plan.initial_labels, phi))
     for T, record in zip(plan.transforms, plan.records):
         data = T.apply(data)
         if record is not None:
             vertex, j = record
             values[vertex] = data[j - 1]
-    for v, val in zip(plan.initial_labels, phi):
-        values.setdefault(v, val)
-    # initial-label vertices may have been overwritten in `values` only
-    # if they reappeared as spike records, which cannot happen
     u = VertexFunction(values)
     if not is_harmonic(plan.network, u):
         raise AssertionError("continuation failed harmonicity check")
@@ -274,11 +254,12 @@ def u0_matrix_A(N, S):
     boundary-data transform of the complementary filtration, and
     U0(G, L, M) = ker(A acting on M^s).  Only the s columns e_1..e_s
     are pushed through the moves."""
-    s = len(S)
-    plan = complementary_plan(N, sorted(S))
+    plan = complementary_plan(N, S)
     m = plan.m
-    M = _matrix_of(plan.apply, 2 * m, s)
-    return M.submatrix(range(m, 2 * m), range(s))
+    columns = [
+        plan.apply([int(i == k) for i in range(2 * m)]) for k in range(len(S))
+    ]
+    return ExactMatrix([[c[r] for c in columns] for r in range(m, 2 * m)])
 
 
 def integer_u0_matrix(N, S):
@@ -301,15 +282,13 @@ def u0_mod_n_via_continuation(N, S, n):
 
 
 def find_layering_set(G):
-    """Greedy heuristic: repeatedly strip; when stuck, promote one
-    interior vertex of the flower (preferring one adjacent to the
-    boundary) and try again.  Returns S with G_{S->boundary} layerable."""
+    """Greedy heuristic: strip to the flower; while it is not empty,
+    promote one of its interior vertices (preferring one adjacent to the
+    boundary) and strip that flower again.  Returns S with G_{S->boundary}
+    layerable."""
     S = []
-    H = G
-    while True:
-        flower, _ = reduce_to_flower(H)
-        if flower.is_empty():
-            return sorted(S)
+    flower, _ = reduce_to_flower(G)
+    while not flower.is_empty():
         candidates = [
             x
             for x in flower.interior
@@ -317,7 +296,8 @@ def find_layering_set(G):
         ]
         pick = min(candidates) if candidates else min(flower.interior)
         S.append(pick)
-        H = interiorize(H, {pick})
+        flower, _ = reduce_to_flower(interiorize(flower, {pick}))
+    return sorted(S)
 
 
 def invariant_factor_bound(G, S):

@@ -226,17 +226,14 @@ class ModuleDecomposition:
                 raise ValueError("divisibility chain violated")
 
     @staticmethod
-    def from_cyclic_orders(orders, free_rank=0):
+    def from_cyclic_orders(orders):
         """Normalize a direct sum of cyclic groups Z/o (o = 0 meaning Z)
         into invariant-factor chain form."""
-        finite = []
-        for o in orders:
-            o = abs(int(o))
-            if o == 0:
-                free_rank += 1
-            else:
-                finite.append(o)
-        return ModuleDecomposition(free_rank, tuple(_invariant_chain(finite)))
+        orders = [abs(int(o)) for o in orders]
+        finite = [o for o in orders if o]
+        return ModuleDecomposition(
+            len(orders) - len(finite), tuple(_invariant_chain(finite))
+        )
 
     @property
     def torsion_order(self):

@@ -526,32 +526,24 @@ def degenerate_weights_normalized(G):
             counter += 1
         for v in comp:
             u[v] = val
-    cycles = _fundamental_cycles(G, S)
 
     def du(oe):
         return u[G.o_tail(oe)] - u[G.o_head(oe)]
 
-    # per-cycle weights w_j(e) = 1/du(e) on the cycle, 0 elsewhere
-    wj = []
-    for cycle in cycles:
-        weights = {}
+    # each cycle's weighting x(e) = 1/du(e) sends one unit of current
+    # around it, so Lu stays 0; add it times the least a >= 1 that leaves
+    # none of its edges at weight zero (each edge rules out at most one a)
+    w = {e: Fraction(0 if e in S else 1) for e in G.edge_ids}
+    for cycle in _fundamental_cycles(G, S):
+        x = {}
         for oe in cycle:
             val = du(oe)
             if val == 0:
                 raise AssertionError("cycle edge with zero potential drop")
-            weights[oe[0]] = 1 / val
-        wj.append(weights)
-    # combine so that every cycle edge keeps a nonzero weight
-    t = 1
-    while True:
-        alphas = [Fraction(t) ** j for j in range(len(cycles))]
-        w = {e: Fraction(0 if e in S else 1) for e in G.edge_ids}
-        for a, wmap in zip(alphas, wj):
-            for e, x in wmap.items():
-                w[e] += a * x
-        if all(w[e] != 0 for e in G.edge_ids):
-            break
-        t += 1
+            x[oe[0]] = 1 / val
+        a = min(set(range(1, len(x) + 2)) - {-w[e] / x[e] for e in x})
+        for e in x:
+            w[e] += a * x[e]
     N = Network(G, w)
     uf = VertexFunction(u)
     if not in_U0(N, uf):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphalg import continuation
 from graphalg.continuation import (
     complementary_plan,
     continuation_plan,
@@ -24,8 +25,15 @@ from graphalg.continuation import (
     u0_via_continuation,
 )
 from graphalg.exact_algebra import ExactMatrix, Mod, ModuleDecomposition, snf
-from graphalg.families import complete_graph, cube, wheel
-from graphalg.layering import interiorize, is_layerable
+from graphalg.families import clf, complete_graph, cube, wheel
+from graphalg.layering import (
+    EDGE_DEL,
+    SPIKE,
+    interiorize,
+    is_layerable,
+    reduce_to_flower,
+    strip_layerable,
+)
 from graphalg.network import (
     Network,
     U0_QmodZ,
@@ -149,6 +157,86 @@ def networks_with_layering_sets(draw):
     return N, find_layering_set(G)
 
 
+@st.composite
+def multigraphs(draw):
+    """A random multigraph on 1-8 vertices with loops, parallel edges
+    and a random boundary."""
+    nv = draw(st.integers(1, 8))
+    vertex = st.integers(0, nv - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * nv))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=nv))
+    boundary = draw(st.sets(vertex))
+    return PartialGraph(range(nv), boundary, dict(enumerate(edges)))
+
+
+def with_fractions(data, G):
+    """A network on G with drawn Fraction weights and offsets."""
+    fractions = st.fractions(-3, 3, max_denominator=3)
+    return Network(
+        G,
+        {e: data.draw(weights) for e in G.edge_ids},
+        {v: data.draw(fractions) for v in G.vertices},
+    )
+
+
+def reference_plan(N, initial_labels, steps):
+    """(initial labels, transforms, records) as the plan builder made
+    them from ("spike", anchor, new vertex, edge) and ("edge", v1, v2,
+    edge) tuples in application order, finding labels by list search."""
+    label = list(initial_labels)
+    m = len(label)
+    transforms = [initial_transform([N.offset(v) for v in label])]
+    records = [None]
+    for kind, a, b, e in steps:
+        if kind == "spike":
+            j = label.index(a) + 1
+            transforms.append(spike_transform(m, j, N.weight(e), N.offset(b)))
+            label[j - 1] = b
+            records.append((b, j))
+        else:
+            i, j = label.index(a) + 1, label.index(b) + 1
+            transforms.append(edge_transform(m, i, j, N.weight(e)))
+            records.append(None)
+    return tuple(initial_labels), tuple(transforms), tuple(records)
+
+
+def reference_steps(G, ops, swap):
+    """The step tuples of strip moves; ``swap`` adjoins each spike's
+    interior endpoint at its boundary endpoint instead of the reverse."""
+    steps = []
+    for op in ops:
+        if op.kind == SPIKE:
+            ends = (op.vertex, op.interior_vertex)
+            anchor, new = ends if swap else ends[::-1]
+            steps.append(("spike", anchor, new, op.edge))
+        elif op.kind == EDGE_DEL:
+            steps.append(("edge", *G.edge_dict[op.edge], op.edge))
+    return steps
+
+
+def reference_layering_set(G):
+    """find_layering_set re-stripping the whole graph each round."""
+    S = []
+    H = G
+    while True:
+        flower, _ = reduce_to_flower(H)
+        if flower.is_empty():
+            return sorted(S)
+        candidates = [
+            x
+            for x in flower.interior
+            if any(y in flower.boundary for y in flower.neighbors(x))
+        ]
+        pick = min(candidates) if candidates else min(flower.interior)
+        S.append(pick)
+        H = interiorize(H, {pick})
+
+
+def plan_parts(plan):
+    return plan.initial_labels, plan.transforms, plan.records
+
+
 def final_labels(plan):
     """The vertices labelled 1..m after the last move of the plan."""
     label = list(plan.initial_labels)
@@ -262,6 +350,50 @@ class TestContinuation:
             Lu = apply_L(N, u)
             assert out[:m] == [u(v) for v in labels]
             assert out[m:] == [Lu(v) for v in labels]
+
+
+class TestPlansFromStripMoves:
+    @settings(max_examples=100, deadline=None)
+    @given(layerable_networks(), st.data())
+    def test_continuation_plan_matches_step_tuples(self, N, data):
+        N = with_fractions(data, N.graph)
+        G = N.graph
+        remnant, ops = strip_layerable(G)
+        initial = tuple(sorted(remnant.vertices))
+        steps = reference_steps(G, reversed(ops), swap=False)
+        want = reference_plan(N, initial, steps)
+        assert plan_parts(continuation_plan(N)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(networks_with_layering_sets(), st.data())
+    def test_complementary_plan_matches_step_tuples(self, case, data):
+        N, S = case
+        N = with_fractions(data, N.graph)
+        G = N.graph
+        _, ops = strip_layerable(interiorize(G, S))
+        initial = tuple(S) + tuple(sorted(G.boundary))
+        want = reference_plan(N, initial, reference_steps(G, ops, swap=True))
+        assert plan_parts(complementary_plan(N, S)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs())
+    def test_find_layering_set_matches_whole_graph_strips(self, G):
+        assert find_layering_set(G) == reference_layering_set(G)
+
+    def test_find_layering_set_strips_only_flowers(self, monkeypatch):
+        sizes = []  # (edges in, edges of the flower out) per strip
+        strip = continuation.reduce_to_flower
+
+        def recording(H):
+            flower, ops = strip(H)
+            sizes.append((len(H.edges), len(flower.edges)))
+            return flower, ops
+
+        monkeypatch.setattr(continuation, "reduce_to_flower", recording)
+        find_layering_set(clf(80, 6))
+        assert len(sizes) > 2
+        for (_, before), (edges_in, _) in zip(sizes, sizes[1:]):
+            assert edges_in <= before
 
 
 class TestExplicitKernel:

@@ -244,7 +244,7 @@ class TestDegenerateNormalized:
         [
             (
                 wheel(5).graph,
-                ["7", "-1", "-2", "-4", "5", "-27/5", "2", "1/3", "1", "16"],
+                ["1", "-1", "-2", "-3", "1", "-1", "1/2", "1/3", "1/2", "1"],
             ),
             (JOINED_TRIANGLES, ["-1", "-1", "1/2", "-1", "-1", "1/2", "1"]),
         ],
@@ -253,6 +253,17 @@ class TestDegenerateNormalized:
     def test_pinned_weights(self, G, weights):
         N, _ = degenerate_weights_normalized(G)
         assert [str(w) for _, w in N.weights] == weights
+
+    @pytest.mark.parametrize("n", [25, 100, 400])
+    def test_weights_stay_small(self, n):
+        """Every weight's numerator and denominator fit in 16 bits, however
+        many cycles the wheel has."""
+        N, _ = degenerate_weights_normalized(wheel(n).graph)
+        bits = max(
+            max(w.numerator.bit_length(), w.denominator.bit_length())
+            for _, w in N.weights
+        )
+        assert bits <= 16
 
     def test_graph_builds_do_not_grow_with_size(self, monkeypatch):
         wheels = [wheel(n).graph for n in (25, 50, 100)]
