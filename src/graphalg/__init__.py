@@ -120,6 +120,5 @@ from .families import (
     rotation_action,
     wheel,
 )
-from .verify import CheckResult, run_suite
 
 __version__ = "0.1.0"

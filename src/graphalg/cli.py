@@ -79,7 +79,22 @@ def _parse_scalar(text, line_no):
         raise DocumentError(line_no, f"bad scalar {text!r}")
 
 
+def _parse_field(tokens, prefix, line_no, default):
+    """The scalar of the one optional field ``prefix`` (``d=`` or
+    ``w=``) among ``tokens``, or ``default`` when it is absent."""
+    value = None
+    for token in tokens:
+        if not token.startswith(prefix):
+            raise DocumentError(line_no, f"unknown field {token!r}")
+        if value is not None:
+            raise DocumentError(line_no, f"repeated field {prefix!r}")
+        value = _parse_scalar(token[len(prefix):], line_no)
+    return default if value is None else value
+
+
 def _format_scalar(x):
+    if isinstance(x, Mod):
+        return str(x.value)
     if isinstance(x, Fraction) and x.denominator != 1:
         return f"{x.numerator}/{x.denominator}"
     return str(int(x))
@@ -97,10 +112,9 @@ def parse_document(text):
     boundary_order = None
     metadata = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         kind, args = parts[0], parts[1:]
         if kind == "vertex":
             if len(args) < 2 or args[1] not in ("boundary", "interior"):
@@ -111,12 +125,7 @@ def parse_document(text):
             if vid in vertices:
                 raise DocumentError(line_no, f"duplicate vertex id {vid}")
             vertices[vid] = args[1] == "boundary"
-            for extra in args[2:]:
-                if not extra.startswith("d="):
-                    raise DocumentError(line_no, f"unknown field {extra!r}")
-                if vid in offsets:
-                    raise DocumentError(line_no, "repeated field 'd='")
-                offsets[vid] = _parse_scalar(extra[2:], line_no)
+            offsets[vid] = _parse_field(args[2:], "d=", line_no, 0)
         elif kind == "edge":
             if len(args) < 3:
                 raise DocumentError(
@@ -129,13 +138,7 @@ def parse_document(text):
                 _parse_id(args[1], line_no),
                 _parse_id(args[2], line_no),
             )
-            for extra in args[3:]:
-                if not extra.startswith("w="):
-                    raise DocumentError(line_no, f"unknown field {extra!r}")
-                if eid in weights:
-                    raise DocumentError(line_no, "repeated field 'w='")
-                weights[eid] = _parse_scalar(extra[2:], line_no)
-            weights.setdefault(eid, 1)
+            weights[eid] = _parse_field(args[3:], "w=", line_no, 1)
         elif kind == "rotation":
             if not args:
                 raise DocumentError(line_no, "expected: rotation <v> <±e>...")
@@ -225,9 +228,10 @@ def _decomposition_json(dec):
 
 
 def _emit(args, text, payload):
-    if getattr(args, "json", False):
-        payload = {"format": 1, **payload}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    """The one writer of a subcommand's report: ``text``, or with
+    ``--json`` the ``format: 1`` JSON object of ``payload``."""
+    if args.json:
+        print(json.dumps({"format": 1, **payload}, indent=2, sort_keys=True))
     else:
         print(text)
 
@@ -318,46 +322,36 @@ def _cmd_layerable(doc, args):
 
 def _cmd_flower(doc, args):
     flower, trace = reduce_to_flower(doc.network.graph)
+    payload = {
+        "moves": len(trace),
+        "flower_vertices": list(flower.vertices),
+        "flower_edges": list(flower.edge_ids),
+        "empty": flower.is_empty(),
+    }
     lines = [
-        f"moves applied: {len(trace)}",
-        f"flower vertices: {list(flower.vertices)}",
-        f"flower edges: {[e for e in flower.edge_ids]}",
-        f"empty: {'yes' if flower.is_empty() else 'no'}",
+        f"moves applied: {payload['moves']}",
+        f"flower vertices: {payload['flower_vertices']}",
+        f"flower edges: {payload['flower_edges']}",
+        f"empty: {'yes' if payload['empty'] else 'no'}",
     ]
-    _emit(
-        args,
-        "\n".join(lines),
-        {
-            "moves": len(trace),
-            "flower_vertices": list(flower.vertices),
-            "flower_edges": list(flower.edge_ids),
-            "empty": flower.is_empty(),
-        },
-    )
+    _emit(args, "\n".join(lines), payload)
 
 
 def _cmd_reduce(doc, args):
     verdict, trace = is_completely_reducible(doc.network.graph)
-    witnesses = trace.irreducible_witnesses()
+    pieces = [
+        {"vertices": list(W.vertices), "edges": list(W.edge_ids)}
+        for W in trace.irreducible_witnesses()
+    ]
     lines = [f"completely reducible: {'yes' if verdict else 'no'}"]
-    for W in witnesses:
-        lines.append(
-            f"irreducible piece: vertices {list(W.vertices)}"
-            f" edges {list(W.edge_ids)}"
-        )
+    lines += [
+        f"irreducible piece: vertices {p['vertices']} edges {p['edges']}"
+        for p in pieces
+    ]
     _emit(
         args,
         "\n".join(lines),
-        {
-            "completely_reducible": verdict,
-            "irreducible_pieces": [
-                {
-                    "vertices": list(W.vertices),
-                    "edges": list(W.edge_ids),
-                }
-                for W in witnesses
-            ],
-        },
+        {"completely_reducible": verdict, "irreducible_pieces": pieces},
     )
 
 
@@ -366,21 +360,15 @@ def _cmd_u0_matrix(doc, args):
     A = integer_u0_matrix(doc.network, S)
     diag, rank = smith_diagonal(A)
     dec = kernel_QmodZ_from_snf(diag, rank, A.cols)
-    rows = [
-        " ".join(_format_scalar(A[i, j]) for j in range(A.cols))
-        for i in range(A.rows)
-    ]
-    lines = ["matrix A:"] + [f"  {r}" for r in rows]
+    matrix = [[_format_scalar(x) for x in row] for row in A.data]
+    lines = ["matrix A:"] + ["  " + " ".join(row) for row in matrix]
     lines.append(f"smith diagonal: {list(diag)}")
     lines.append(f"kernel over Q/Z: {dec}")
     _emit(
         args,
         "\n".join(lines),
         {
-            "matrix": [
-                [_format_scalar(A[i, j]) for j in range(A.cols)]
-                for i in range(A.rows)
-            ],
+            "matrix": matrix,
             "smith_diagonal": [str(d) for d in diag],
             "kernel": _decomposition_json(dec),
         },
@@ -391,10 +379,8 @@ def _cmd_dual(doc, args):
     EG = _require_embedding(doc)
     D = dual(doc.network, EG)
     out = serialize_document(NetworkDocument(D.network, D.embedded, {}))
-    if args.json:
-        _emit(args, out, {"document": out})
-    else:
-        print(out, end="")
+    # print restores the one newline that ends every document
+    _emit(args, out[:-1], {"document": out})
 
 
 def _cmd_conjugate(doc, args):
@@ -404,10 +390,9 @@ def _cmd_conjugate(doc, args):
     values = {}
     with open(args.values) as fh:
         for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            parts = line.split()
             if len(parts) != 2:
                 raise DocumentError(line_no, "expected: <vertex> <value>")
             vid = _parse_id(parts[0], line_no)
@@ -416,20 +401,12 @@ def _cmd_conjugate(doc, args):
                 scalar = Mod(scalar, args.mod)
             values[vid] = scalar
     v, D = harmonic_conjugate(doc.network, EG, values)
-    lines = [
-        f"{x} {_format_value(v(x))}" for x in D.network.graph.vertices
-    ]
+    conjugate = {str(x): _format_scalar(v(x)) for x in D.network.graph.vertices}
     _emit(
         args,
-        "\n".join(lines),
-        {"conjugate": {str(x): _format_value(v(x)) for x in D.network.graph.vertices}},
+        "\n".join(f"{x} {s}" for x, s in conjugate.items()),
+        {"conjugate": conjugate},
     )
-
-
-def _format_value(x):
-    if isinstance(x, Mod):
-        return str(x.value)
-    return _format_scalar(x)
 
 
 def _cmd_charpoly(doc, args):
@@ -485,10 +462,7 @@ def _cmd_family(args):
         doc = NetworkDocument(Network.standard(built), None, {})
     doc.metadata["family"] = " ".join([name] + list(args.params))
     out = serialize_document(doc)
-    if args.json:
-        _emit(args, out, {"document": out})
-    else:
-        print(out, end="")
+    _emit(args, out[:-1], {"document": out})
 
 
 def _cmd_export_dot(doc, args):
@@ -504,10 +478,7 @@ def _cmd_export_dot(doc, args):
         lines.append(f"  v{t} -- v{h}{label};")
     lines.append("}")
     out = "\n".join(lines)
-    if args.json:
-        _emit(args, out, {"dot": out})
-    else:
-        print(out)
+    _emit(args, out, {"dot": out})
 
 
 def _cmd_verify(args):

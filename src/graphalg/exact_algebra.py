@@ -136,15 +136,8 @@ class ExactMatrix:
         return self.data[i][j]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.data[i][j] == other.data[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
+        return isinstance(other, ExactMatrix) and (
+            (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
         )
 
     def __hash__(self):
@@ -199,11 +192,6 @@ class ExactMatrix:
                 acc = term if acc is None else acc + term
             out.append(acc if acc is not None else 0)
         return out
-
-    def submatrix(self, row_indices, col_indices):
-        return ExactMatrix(
-            [[self.data[i][j] for j in col_indices] for i in row_indices]
-        )
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,16 @@
 """Tests for the NetworkDocument format and the command-line interface."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphalg
+from graphalg import cli
 from graphalg.cli import (
     _FAMILY_BUILDERS,
     DocumentError,
@@ -12,6 +19,7 @@ from graphalg.cli import (
     parse_document,
     serialize_document,
 )
+from graphalg.families import wheel
 from graphalg.network import Network
 from graphalg.planar import EmbeddedPartialGraph
 
@@ -107,6 +115,18 @@ class TestDocumentFormat:
             (
                 "vertex 0 interior\nvertex 1 interior\nedge 0 0 1 w=1 w=2\n",
                 "line 3: repeated field 'w='",
+            ),
+            # each field token is checked for its name, then for a
+            # repeat, then for its scalar
+            ("vertex 0 interior d=x d=2\n", "line 1: bad scalar 'x'"),
+            ("vertex 0 interior d=1 y=2\n", "line 1: unknown field 'y=2'"),
+            (
+                "vertex 0 interior\nvertex 1 interior\nedge 0 0 1 w=1 w=x\n",
+                "line 3: repeated field 'w='",
+            ),
+            (
+                "vertex 0 interior\nvertex 1 interior\nedge 0 0 1 w=x y=1\n",
+                "line 3: bad scalar 'x'",
             ),
         ],
     )
@@ -293,3 +313,121 @@ def test_bad_input_gives_an_error_line_not_a_traceback(argv, tmp_path, capsys):
     assert any(
         line.startswith(("error: ", "parse error: ")) for line in err.splitlines()
     )
+
+
+def test_only_emit_prints_to_stdout():
+    """Every report goes through cli._emit; other prints go to stderr."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (emit,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_emit"
+    ]
+    inside_emit = {id(node) for node in ast.walk(emit)}
+    stdout_prints = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+        and id(node) not in inside_emit
+        and not any(
+            kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+            for kw in node.keywords
+        )
+    ]
+    assert stdout_prints == []
+
+
+def test_importing_the_cli_does_not_load_the_verification_suite():
+    src = str(Path(graphalg.__file__).resolve().parents[1])
+    code = "import sys, graphalg.cli; print('graphalg.verify' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "False\n"
+
+
+# -- golden outputs ----------------------------------------------------
+
+RATIONAL_TRIANGLE_DOC = TRIANGLE_DOC.replace("1 2 w=1", "1 2 w=1/2").replace(
+    "2 0 w=1", "2 0 w=1/3"
+)
+W5 = wheel(5, hub_boundary=True)
+W5_DOC = serialize_document(NetworkDocument(Network.standard(W5.graph), W5))
+
+# name: (document, --interiorize argument, a harmonic --values file)
+GOLDEN_DOCS = {
+    "triangle": (TRIANGLE_DOC, "2", "0 0\n1 2\n2 1\n"),
+    "rational-triangle": (RATIONAL_TRIANGLE_DOC, "2", "0 0\n1 1\n2 3/5\n"),
+    "w5-hub-boundary": (W5_DOC, "0,1", "".join(f"{v} 1\n" for v in range(6))),
+}
+GOLDEN_COMMANDS = [
+    "upsilon",
+    "crit",
+    "u0 --qz",
+    "u0 --mod 4",
+    "layerable",
+    "layerable --filtration",
+    "flower",
+    "reduce",
+    "u0-matrix --interiorize {S}",
+    "dual",
+    "conjugate --values {values}",
+    "conjugate --mod 7 --values {values}",
+    "charpoly",
+    "eigmult --lambda 3",
+    "export-dot",
+]
+# case id: (document name or None, argv template)
+GOLDEN_CASES = {}
+for flag in ("", " --json"):
+    for name in GOLDEN_DOCS:
+        for command in GOLDEN_COMMANDS:
+            GOLDEN_CASES[f"{name}: {command}{flag}"] = (
+                name, f"{command}{flag} {{doc}}"
+            )
+    GOLDEN_CASES[f"family wheel 5 hub-boundary{flag}"] = (
+        None, f"family wheel 5 hub-boundary{flag}"
+    )
+    GOLDEN_CASES[f"verify{flag}"] = (None, f"verify{flag}")
+
+
+def stub_suite(suite=None):
+    from graphalg.verify import CheckResult
+
+    return [CheckResult("short", True, "ok"), CheckResult("a longer name", False, "")]
+
+
+def golden_argv(case, workdir):
+    """The argv of a golden case, with its files written to workdir."""
+    name, template = GOLDEN_CASES[case]
+    fields = {}
+    if name is not None:
+        doc, S, values = GOLDEN_DOCS[name]
+        fields = {"doc": workdir / "doc", "S": S, "values": workdir / "values"}
+        fields["doc"].write_text(doc)
+        fields["values"].write_text(values)
+    return [arg.format(**fields) for arg in template.split()]
+
+
+# each case's exit code, stdout and stderr, recorded before the
+# subcommands shared one emitter; an intended output change edits its entry
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+
+def test_golden_cases_all_recorded():
+    assert set(GOLDEN) == set(GOLDEN_CASES)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_golden_output(case, tmp_path, monkeypatch, capsys):
+    """Exit code, stdout and stderr of every subcommand, in text and
+    JSON; verify runs on a stub suite, so only its rendering is pinned."""
+    monkeypatch.setattr("graphalg.verify.run_suite", stub_suite)
+    code = main(golden_argv(case, tmp_path))
+    out, err = capsys.readouterr()
+    assert {"code": code, "stdout": out, "stderr": err} == GOLDEN[case]

@@ -476,7 +476,3 @@ class TestExactMatrixOps:
         assert A == B and hash(A) == hash(B)
         assert A.is_integer() is False
         assert ExactMatrix([[Fraction(2), 1]]).to_integer().data == ((2, 1),)
-
-    def test_submatrix(self):
-        A = ExactMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        assert A.submatrix([0, 2], [1]) == ExactMatrix([[2], [8]])
