@@ -45,7 +45,6 @@ from .layering import (
     EDGE_DEL,
     SPIKE,
     is_completely_reducible,
-    is_layerable,
     reduce_to_flower,
     standard_form_filtration,
 )
@@ -181,14 +180,20 @@ def parse_document(text):
     return NetworkDocument(network, embedded, metadata)
 
 
-def _parse_id(text, line_no):
+def _parse_id(text, line_no=None):
+    """``text`` as a nonnegative integer id.  A bad one raises
+    DocumentError at ``line_no``, or ValueError outside a document."""
     try:
         value = int(text)
     except ValueError:
-        raise DocumentError(line_no, f"bad integer {text!r}")
-    if value < 0:
-        raise DocumentError(line_no, f"negative id {text!r}")
-    return value
+        message = f"bad integer {text!r}"
+    else:
+        if value >= 0:
+            return value
+        message = f"negative id {text!r}"
+    if line_no is None:
+        raise ValueError(message)
+    raise DocumentError(line_no, message)
 
 
 def serialize_document(doc):
@@ -293,20 +298,15 @@ def _cmd_u0(doc, args):
 
 
 def _cmd_layerable(doc, args):
-    G = doc.network.graph
-    filtration = None
-    if args.filtration:
-        # one strip: it yields the filtration exactly when G is layerable
-        try:
-            filtration = standard_form_filtration(G)
-        except ValueError:
-            pass
-        verdict = filtration is not None
-    else:
-        verdict = is_layerable(G)
+    # one strip: it yields the filtration exactly when G is layerable
+    try:
+        filtration = standard_form_filtration(doc.network.graph)
+    except ValueError:
+        filtration = None
+    verdict = filtration is not None
     lines = [f"layerable: {'yes' if verdict else 'no'}"]
     payload = {"layerable": verdict}
-    if filtration is not None:
+    if args.filtration and verdict:
         steps = []
         for op in filtration.ops:
             if op.kind == SPIKE:
@@ -356,7 +356,7 @@ def _cmd_reduce(doc, args):
 
 
 def _cmd_u0_matrix(doc, args):
-    S = [int(v) for v in args.interiorize.split(",") if v]
+    S = [_parse_id(v) for v in args.interiorize.split(",") if v]
     A = integer_u0_matrix(doc.network, S)
     diag, rank = smith_diagonal(A)
     dec = kernel_QmodZ_from_snf(diag, rank, A.cols)
@@ -432,18 +432,28 @@ def _cmd_eigmult(doc, args):
     )
 
 
+def _ints(params, count):
+    """The family parameters ``params`` as exactly ``count`` ints."""
+    if len(params) != count:
+        raise ValueError(f"expected {count} integer(s), got {len(params)}")
+    return [int(p) for p in params]
+
+
+def _wheel(params):
+    """``n``, or ``n hub-boundary`` for a boundary hub."""
+    if not params or params[1:] not in ([], ["hub-boundary"]):
+        raise ValueError("expected n or n hub-boundary")
+    return families.wheel(int(params[0]), hub_boundary=len(params) == 2)
+
+
 _FAMILY_BUILDERS = {
-    "complete": lambda p: families.complete_graph(int(p[0]), []),
-    "complete-bipartite": lambda p: families.complete_bipartite_bi(
-        int(p[0]), int(p[1])
-    ),
-    "cycle": lambda p: families.cycle(int(p[0])),
-    "cube": lambda p: families.cube(int(p[0])),
-    "wheel": lambda p: families.wheel(
-        int(p[0]), hub_boundary=len(p) > 1 and p[1] == "hub-boundary"
-    ),
-    "clf": lambda p: families.clf(int(p[0]), int(p[1])),
-    "clf-prime": lambda p: families.clf_prime(int(p[0]), int(p[1])),
+    "complete": lambda p: families.complete_graph(*_ints(p, 1), []),
+    "complete-bipartite": lambda p: families.complete_bipartite_bi(*_ints(p, 2)),
+    "cycle": lambda p: families.cycle(*_ints(p, 1)),
+    "cube": lambda p: families.cube(*_ints(p, 1)),
+    "wheel": _wheel,
+    "clf": lambda p: families.clf(*_ints(p, 2)),
+    "clf-prime": lambda p: families.clf_prime(*_ints(p, 2)),
 }
 
 
@@ -454,7 +464,7 @@ def _cmd_family(args):
         raise ValueError(f"unknown family {name!r} (known: {known})")
     try:
         built = _FAMILY_BUILDERS[name](args.params)
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad parameters for {name}: {exc}")
     if isinstance(built, EmbeddedPartialGraph):
         doc = NetworkDocument(Network.standard(built.graph), built, {})

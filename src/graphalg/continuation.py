@@ -26,10 +26,10 @@ the whole graph would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact_algebra import (
     ExactMatrix,
+    _inverse,
     kernel_QmodZ_torsion,
     kernel_mod_n,
 )
@@ -76,7 +76,7 @@ class BoundaryTransform:
         elif move[0] == "spike":
             _, j, w, d = move
             k = j - 1
-            out[k] += out[m + k] * (1 / Fraction(w))
+            out[k] += out[m + k] * _inverse(w)
             out[m + k] += d * out[k]
         else:
             _, i, j, w = move

@@ -30,17 +30,16 @@ from operator import mul
 
 
 class Mod:
-    """A residue in Z/n, stored in canonical range [0, n)."""
+    """A residue in Z/n, stored in canonical range [0, n), of an int, a
+    Fraction whose denominator is prime to n, or a Mod of modulus n."""
 
     __slots__ = ("value", "modulus")
 
     def __init__(self, value, modulus):
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
-        if isinstance(value, Fraction):
-            value = value.numerator * pow(value.denominator, -1, modulus)
-        self.value = value % modulus
         self.modulus = modulus
+        self.value = self._coerce(value) % modulus
 
     def _coerce(self, other):
         if isinstance(other, Mod):
@@ -50,8 +49,6 @@ class Mod:
         if isinstance(other, int):
             return other
         if isinstance(other, Fraction):
-            if other.denominator == 1:
-                return other.numerator
             return other.numerator * pow(other.denominator, -1, self.modulus)
         return NotImplemented
 
@@ -105,6 +102,18 @@ class Mod:
 
 def _is_exact_scalar(x):
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def _is_unit(w):
+    """True iff the exact scalar ``w`` is a unit of its ring: over Q
+    every non-integral value is, over Z only +1 and -1."""
+    return w.denominator != 1 or w in (1, -1)
+
+
+def _inverse(w):
+    """The inverse of a nonzero exact scalar: +1 and -1 are their own,
+    any other value's is a Fraction."""
+    return w if w in (1, -1) else 1 / Fraction(w)
 
 
 class ExactMatrix:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .exact_algebra import _is_unit
 from .network import Network, VertexFunction, in_U0
 from .partial_graph import PartialGraph
 
@@ -89,13 +90,8 @@ def _apply(G, op):
 def apply_op_network(N, op):
     """Apply a layer-stripping move to a network (weights and offsets
     restricted).  Spike contraction requires a unit weight."""
-    if op.kind == SPIKE:
-        w = N.weight(op.edge)
-        if isinstance(w, Fraction):
-            if w == 0:
-                raise ValueError("spike weight must be a unit")
-        elif w not in (1, -1):
-            raise ValueError("spike weight must be a unit (over Z: +1 or -1)")
+    if op.kind == SPIKE and not _is_unit(N.weight(op.edge)):
+        raise ValueError("spike weight must be a unit (over Z: +1 or -1)")
     G2 = apply_op(N.graph, op)
     return Network(
         G2,
@@ -371,15 +367,9 @@ def find_wedge_split(G):
 
 
 def is_irreducible(G):
-    """Nonempty, no strippable move, connected, and not a boundary
-    wedge-sum."""
-    if G.is_empty():
-        return False
-    if find_strippable(G):
-        return False
-    if not G.is_connected():
-        return False
-    return find_wedge_split(G) is None
+    """Nonempty, and a leaf of the reduction: no strippable move,
+    connected, and not a boundary wedge-sum."""
+    return not G.is_empty() and _reduction_step(G)[0] is None
 
 
 def _reduction_step(H):

@@ -27,6 +27,7 @@ from .exact_algebra import (
     ExactMatrix,
     Mod,
     _bareiss,
+    _is_unit,
     _smith_rows,
     kernel_mod_n_from_snf,
     kernel_QmodZ_from_snf,
@@ -59,6 +60,9 @@ class Network:
             ds = tuple((v, dmap.pop(v, 0)) for v in graph.vertices)
             if dmap:
                 raise ValueError(f"offset on unknown vertex {next(iter(dmap))}")
+            for v, d in ds:
+                if not isinstance(d, (int, Fraction)) or isinstance(d, bool):
+                    raise TypeError(f"offset of vertex {v} is not an exact scalar")
         else:
             ds = tuple((v, 0) for v in graph.vertices)
         object.__setattr__(self, "graph", graph)
@@ -116,15 +120,8 @@ class Network:
         return all(d == 0 for _, d in self.offsets)
 
     def is_unit_weight(self):
-        """True iff every weight is a unit of its ring: nonzero over Q,
-        +1 or -1 over Z."""
-        for _, w in self.weights:
-            if isinstance(w, Fraction) and w.denominator != 1:
-                if w == 0:
-                    return False
-            elif w not in (1, -1):
-                return False
-        return True
+        """True iff every weight is a unit of its ring (``_is_unit``)."""
+        return all(_is_unit(w) for _, w in self.weights)
 
     def is_integral(self):
         return self._laplacian[1] == 1

@@ -22,9 +22,9 @@ Cauchy-Riemann equation w(e) du(e) = dv(e-dual).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
+from .exact_algebra import _inverse
 from .fundamental import upsilon_reduced
 from .network import Network, VertexFunction, _value_map, is_harmonic
 from .partial_graph import PartialGraph, rev
@@ -239,17 +239,9 @@ def dual(N, EG):
     dual_order = tuple(sorted(boundary, key=arc_key))
     EGd = EmbeddedPartialGraph(Gd, rotation, dual_order)
     validate_embedding(EGd)
-    weights = {e: _invert(w) for e, w in N.weights}
+    weights = {e: _inverse(w) for e, w in N.weights}
     Nd = Network(Gd, weights)
     return DualNetwork(Nd, EGd)
-
-
-def _invert(w):
-    if isinstance(w, int):
-        if w in (1, -1):
-            return w
-        return Fraction(1, w)
-    return 1 / w
 
 
 def double_dual_is_isomorphic(N, EG):

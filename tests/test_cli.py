@@ -289,11 +289,31 @@ BAD_INPUTS = {
     "u0-matrix-repeated-vertex": ["u0-matrix", "--interiorize", "0,1,0", "{w5}"],
     "upsilon-non-integral": ["upsilon", "{rational}"],
     "loop-edge": ["upsilon", "{loop}"],
+    "u0-matrix-bad-integer": ["u0-matrix", "--interiorize", "0,x", "{w5}"],
+    "u0-matrix-negative-id": ["u0-matrix", "--interiorize", "-1", "{w5}"],
+    "family-extra-parameter": ["family", "cycle", "5", "7"],
+    "family-extra-word": ["family", "cycle", "5", "x"],
+    "family-missing-parameter": ["family", "clf", "3"],
+    "family-unknown-wheel-option": ["family", "wheel", "5", "hubboundary"],
+    "family-wheel-extra-parameter": ["family", "wheel", "5", "hub-boundary", "x"],
+}
+
+# the exact stderr of the inputs above whose message is pinned (exit 1)
+BAD_INPUT_ERRORS = {
+    "u0-matrix-bad-integer": "bad integer 'x'",
+    "u0-matrix-negative-id": "negative id '-1'",
+    "family-extra-parameter": "bad parameters for cycle: expected 1 integer(s), got 2",
+    "family-extra-word": "bad parameters for cycle: expected 1 integer(s), got 2",
+    "family-missing-parameter": "bad parameters for clf: expected 2 integer(s), got 1",
+    "family-unknown-wheel-option":
+        "bad parameters for wheel: expected n or n hub-boundary",
+    "family-wheel-extra-parameter":
+        "bad parameters for wheel: expected n or n hub-boundary",
 }
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_gives_an_error_line_not_a_traceback(argv, tmp_path, capsys):
+@pytest.mark.parametrize("case,argv", BAD_INPUTS.items(), ids=BAD_INPUTS.keys())
+def test_bad_input_gives_an_error_line_not_a_traceback(case, argv, tmp_path, capsys):
     """Exit code 1 or 2 with a message on stderr, never an exception."""
     assert main(["family", "wheel", "5", "hub-boundary"]) == 0
     files = {
@@ -313,6 +333,8 @@ def test_bad_input_gives_an_error_line_not_a_traceback(argv, tmp_path, capsys):
     assert any(
         line.startswith(("error: ", "parse error: ")) for line in err.splitlines()
     )
+    if case in BAD_INPUT_ERRORS:
+        assert (code, err) == (1, f"error: {BAD_INPUT_ERRORS[case]}\n")
 
 
 def test_only_emit_prints_to_stdout():

@@ -453,6 +453,41 @@ class TestExplicitKernel:
             u0_mod_n_via_continuation(N, [0, 1, 0], 11)
 
 
+def unit_weights(data, G):
+    """A network on G with drawn weights +1 or -1 and int offsets."""
+    return Network(
+        G,
+        {e: data.draw(st.sampled_from([1, -1])) for e in G.edge_ids},
+        {v: data.draw(st.integers(-3, 3)) for v in G.vertices},
+    )
+
+
+class TestIntegralDataStaysInZ:
+    """A spike of weight +1 or -1 is inverted in Z, so on such weights
+    and int offsets every move keeps int data int."""
+
+    def test_worked_example_kernel_matrix(self):
+        A = u0_matrix_A(Network.standard(worked_example()), {3, 4})
+        assert all(type(x) is int for row in A.data for x in row)
+
+    @settings(max_examples=60, deadline=None)
+    @given(networks_with_layering_sets(), st.data())
+    def test_kernel_matrix(self, case, data):
+        N, S = case
+        A = u0_matrix_A(unit_weights(data, N.graph), S)
+        assert all(type(x) is int for row in A.data for x in row)
+
+    @settings(max_examples=60, deadline=None)
+    @given(layerable_networks(), st.data())
+    def test_continued_values(self, N, data):
+        N = unit_weights(data, N.graph)
+        plan = continuation_plan(N)
+        phi = data.draw(st.lists(st.integers(-5, 5), min_size=plan.m,
+                                 max_size=plan.m))
+        u = continue_harmonic(plan, phi)
+        assert all(type(u(v)) is int for v in N.graph.vertices)
+
+
 class TestBounds:
     def test_find_layering_set_is_valid(self):
         for G in (worked_example(), cube(3).with_boundary({0})):

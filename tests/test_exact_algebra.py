@@ -2,10 +2,10 @@
 
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphalg.exact_algebra import (
@@ -13,6 +13,8 @@ from graphalg.exact_algebra import (
     ExactMatrix,
     Mod,
     ModuleDecomposition,
+    _inverse,
+    _is_unit,
     _sparse_pivots,
     charpoly,
     cokernel,
@@ -96,6 +98,43 @@ class TestMod:
         assert not Mod(0, 6)
         assert Mod(3, 6)
         assert Mod(5, 6) == -1
+
+    @given(
+        st.integers(-50, 50) | st.fractions(-9, 9, max_denominator=6),
+        st.integers(2, 40),
+    )
+    def test_residue_of_a_value_or_of_a_mod(self, x, n):
+        assume(gcd(x.denominator, n) == 1)
+        r = Mod(x, n)
+        assert 0 <= r.value < n
+        assert (r * x.denominator).value == x.numerator % n
+        assert Mod(r, n) == r
+
+
+def reference_is_unit(w):
+    """The unit test that ``Network.is_unit_weight`` applied to each
+    weight before it moved to ``_is_unit``."""
+    if isinstance(w, Fraction) and w.denominator != 1:
+        return w != 0
+    return w in (1, -1)
+
+
+exact_scalars = (
+    st.integers(-6, 6)
+    | st.fractions(-6, 6, max_denominator=5)
+    | st.integers(-6, 6).map(Fraction)
+)
+
+
+class TestWeightRules:
+    @given(exact_scalars)
+    def test_is_unit_matches_reference(self, w):
+        assert _is_unit(w) == reference_is_unit(w)
+
+    @given(exact_scalars.filter(bool))
+    def test_inverse(self, w):
+        assert _inverse(w) * w == 1
+        assert type(_inverse(w)) is (type(w) if w in (1, -1) else Fraction)
 
 
 class TestModuleDecomposition:

@@ -2,6 +2,7 @@
 degenerate-weight constructions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,15 @@ class TestMoves:
         with pytest.raises(ValueError):
             apply_op_network(Network(G, {0: 2}), op)
         N2 = apply_op_network(Network(G, {0: -1}), op)
+        assert not N2.graph.edges
+
+    @pytest.mark.parametrize("w", [2, Fraction(2), 0, Fraction(0)])
+    def test_integral_spike_weight_refused_however_written(self, w):
+        G = path(2, boundary={0})
+        op = find_strippable(G)[0]
+        with pytest.raises(ValueError, match=r"over Z: \+1 or -1"):
+            apply_op_network(Network(G, {0: w}), op)
+        N2 = apply_op_network(Network(G, {0: Fraction(1, 2)}), op)
         assert not N2.graph.edges
 
 
@@ -396,6 +406,29 @@ class TestWorklistAgainstReference:
     @given(connected_multigraphs())
     def test_find_wedge_split(self, G):
         assert find_wedge_split(G) == naive_wedge_split(G)
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs())
+    def test_is_irreducible(self, G):
+        # the four checks is_irreducible made before it read the
+        # reduction step
+        reference = (
+            not G.is_empty()
+            and not find_strippable(G)
+            and G.is_connected()
+            and naive_wedge_split(G) is None
+        )
+        assert is_irreducible(G) == reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs())
+    def test_filtration_exists_iff_layerable(self, G):
+        try:
+            standard_form_filtration(G)
+        except ValueError:
+            assert not is_layerable(G)
+        else:
+            assert is_layerable(G)
 
     @settings(max_examples=200, deadline=None)
     @given(offset_networks())

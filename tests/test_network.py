@@ -110,6 +110,13 @@ class TestNetwork:
         with pytest.raises(ValueError):
             Network(path3(), {0: 1})
 
+    @pytest.mark.parametrize("bad", [0.5, True, "1", None])
+    def test_inexact_scalars_rejected(self, bad):
+        with pytest.raises(TypeError, match="weight of edge 1 is not"):
+            Network(path3(), {0: 1, 1: bad})
+        with pytest.raises(TypeError, match="offset of vertex 1 is not"):
+            Network(path3(), {0: 1, 1: 1}, {1: bad})
+
     def test_predicates(self):
         N = Network(path3(), {0: 1, 1: -1}, {1: 2})
         assert N.is_unit_weight()
@@ -117,6 +124,9 @@ class TestNetwork:
         assert not N.is_normalized()
         assert Network.standard(path3()).is_normalized()
         assert not Network(path3(), {0: 2, 1: 1}).is_unit_weight()
+        assert Network(path3(), {0: Fraction(1, 2), 1: -1}).is_unit_weight()
+        assert not Network(path3(), {0: Fraction(2), 1: 1}).is_unit_weight()
+        assert not Network(path3(), {0: Fraction(0), 1: 1}).is_unit_weight()
 
 
 class TestLaplacian:
