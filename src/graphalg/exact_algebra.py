@@ -30,8 +30,7 @@ from operator import mul
 
 
 class Mod:
-    """A residue in Z/n, stored in canonical range [0, n), of an int, a
-    Fraction whose denominator is prime to n, or a Mod of modulus n."""
+    """A residue in Z/n, stored in canonical range [0, n)."""
 
     __slots__ = ("value", "modulus")
 

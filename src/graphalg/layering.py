@@ -235,7 +235,6 @@ class Filtration:
 
     graph: PartialGraph
     ops: tuple
-    labellings: tuple
 
     @cached_property
     def stages(self):
@@ -246,23 +245,26 @@ class Filtration:
             stages.append(_apply(stages[-1], op))
         return tuple(reversed(stages))
 
+    @cached_property
+    def labellings(self):
+        """The labellings, built on first use: the vertices no spike
+        adjoins, sorted; a spike extension puts its new boundary vertex
+        at the index of the vertex it is attached to."""
+        added = {op.vertex for op in self.ops if op.kind == SPIKE}
+        label = sorted(set(self.graph.vertices) - added)
+        labellings = [tuple(label)]
+        for op in self.ops:
+            if op.kind == SPIKE:
+                label[label.index(op.interior_vertex)] = op.vertex
+            labellings.append(tuple(label))
+        return tuple(labellings)
+
 
 def standard_form_filtration(G):
     """Standard-form filtration of a layerable graph; raises ValueError
     if G is not layerable."""
-    remnant, strip_ops = strip_layerable(G)
-    ext_ops = tuple(reversed(strip_ops))
-    # consistent labellings: start from the remnant in sorted order; a
-    # spike extension puts the new boundary vertex at the index of the
-    # vertex it is attached to (which turns interior).
-    label = list(sorted(remnant.vertices))
-    labellings = [tuple(label)]
-    for op in ext_ops:
-        if op.kind == SPIKE:
-            idx = label.index(op.interior_vertex)
-            label[idx] = op.vertex
-        labellings.append(tuple(label))
-    return Filtration(G, ext_ops, tuple(labellings))
+    _, strip_ops = strip_layerable(G)
+    return Filtration(G, tuple(reversed(strip_ops)))
 
 
 # -- complete reducibility ---------------------------------------------

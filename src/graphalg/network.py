@@ -55,16 +55,13 @@ class Network:
             if not isinstance(w, (int, Fraction)) or isinstance(w, bool):
                 raise TypeError(f"weight of edge {e} is not an exact scalar")
             ws.append((e, w))
-        if offsets:
-            dmap = dict(offsets)
-            ds = tuple((v, dmap.pop(v, 0)) for v in graph.vertices)
-            if dmap:
-                raise ValueError(f"offset on unknown vertex {next(iter(dmap))}")
-            for v, d in ds:
-                if not isinstance(d, (int, Fraction)) or isinstance(d, bool):
-                    raise TypeError(f"offset of vertex {v} is not an exact scalar")
-        else:
-            ds = tuple((v, 0) for v in graph.vertices)
+        dmap = dict(offsets or ())
+        ds = tuple((v, dmap.pop(v, 0)) for v in graph.vertices)
+        if dmap:
+            raise ValueError(f"offset on unknown vertex {next(iter(dmap))}")
+        for v, d in ds:
+            if not isinstance(d, (int, Fraction)) or isinstance(d, bool):
+                raise TypeError(f"offset of vertex {v} is not an exact scalar")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "weights", tuple(ws))
         object.__setattr__(self, "offsets", ds)

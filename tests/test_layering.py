@@ -138,6 +138,13 @@ class TestFiltration:
         # the single label slot walks back along the path: 2, 1, 0
         assert filt.labellings == ((2,), (1,), (0,))
 
+    def test_stages_and_labellings_are_built_on_first_use(self):
+        # a layerable verdict reads only the moves: the labellings hold
+        # one tuple per move, each as long as the boundary
+        filt = standard_form_filtration(path(3, boundary={0}))
+        assert "stages" not in vars(filt) and "labellings" not in vars(filt)
+        assert filt.labellings == ((2,), (1,), (0,))
+
     def test_not_layerable_raises(self):
         with pytest.raises(ValueError):
             standard_form_filtration(cycle(4, boundary=()))
