@@ -180,20 +180,26 @@ def parse_document(text):
     return NetworkDocument(network, embedded, metadata)
 
 
+def _parse_int(text):
+    """``text`` as an integer; ValueError "bad integer" otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad integer {text!r}") from None
+
+
 def _parse_id(text, line_no=None):
     """``text`` as a nonnegative integer id.  A bad one raises
     DocumentError at ``line_no``, or ValueError outside a document."""
     try:
-        value = int(text)
-    except ValueError:
-        message = f"bad integer {text!r}"
-    else:
-        if value >= 0:
-            return value
-        message = f"negative id {text!r}"
-    if line_no is None:
-        raise ValueError(message)
-    raise DocumentError(line_no, message)
+        value = _parse_int(text)
+        if value < 0:
+            raise ValueError(f"negative id {text!r}")
+    except ValueError as exc:
+        if line_no is None:
+            raise
+        raise DocumentError(line_no, str(exc)) from None
+    return value
 
 
 def serialize_document(doc):
@@ -396,6 +402,8 @@ def _cmd_conjugate(doc, args):
             if len(parts) != 2:
                 raise DocumentError(line_no, "expected: <vertex> <value>")
             vid = _parse_id(parts[0], line_no)
+            if vid in values:
+                raise DocumentError(line_no, f"duplicate vertex id {vid}")
             scalar = _parse_scalar(parts[1], line_no)
             if args.mod is not None:
                 scalar = Mod(scalar, args.mod)
@@ -422,7 +430,7 @@ def _cmd_charpoly(doc, args):
 def _cmd_eigmult(doc, args):
     try:
         lam = Fraction(args.eigenvalue)
-    except ZeroDivisionError:
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad eigenvalue {args.eigenvalue!r}") from None
     mult = eigen_multiplicity(doc.network, lam)
     _emit(
@@ -436,34 +444,54 @@ def _ints(params, count):
     """The family parameters ``params`` as exactly ``count`` ints."""
     if len(params) != count:
         raise ValueError(f"expected {count} integer(s), got {len(params)}")
-    return [int(p) for p in params]
+    return [_parse_int(p) for p in params]
 
 
 def _wheel(params):
     """``n``, or ``n hub-boundary`` for a boundary hub."""
     if not params or params[1:] not in ([], ["hub-boundary"]):
         raise ValueError("expected n or n hub-boundary")
-    return families.wheel(int(params[0]), hub_boundary=len(params) == 2)
+    return [_parse_int(params[0]), len(params) == 2]
 
 
-_FAMILY_BUILDERS = {
-    "complete": lambda p: families.complete_graph(*_ints(p, 1), []),
-    "complete-bipartite": lambda p: families.complete_bipartite_bi(*_ints(p, 2)),
-    "cycle": lambda p: families.cycle(*_ints(p, 1)),
-    "cube": lambda p: families.cube(*_ints(p, 1)),
-    "wheel": _wheel,
-    "clf": lambda p: families.clf(*_ints(p, 2)),
-    "clf-prime": lambda p: families.clf_prime(*_ints(p, 2)),
+# The most vertices, and the most edges, that ``family`` builds.
+FAMILY_CAP = 10**6
+
+# name: (parameter count, or None for the wheel's own; builder; vertex
+# and edge counts from the parameters.  Past 30 dimensions a cube is over
+# the cap, so its counts stop growing there.)
+_FAMILIES = {
+    "complete": (1, families.complete_graph, lambda n: (n, n * (n - 1) // 2)),
+    "complete-bipartite": (
+        2, families.complete_bipartite_bi, lambda m, n: (m + n, m * n)
+    ),
+    "cycle": (1, families.cycle, lambda n: (n, n)),
+    "cube": (1, families.cube, lambda n: (1 << min(n, 30), n << min(n, 30) >> 1)),
+    "wheel": (None, families.wheel, lambda n, hub: (n + 1, 2 * n)),
+    "clf": (2, families.clf, lambda m, n: (m * (n + 1), m * (2 * n + 1))),
+    "clf-prime": (2, families.clf_prime, lambda m, n: (m * (n + 2), 2 * m * (n + 1))),
 }
+
+
+def _build_family(name, params):
+    """The graph of the known family ``name`` with the parameter words
+    ``params``; ValueError when they are bad or the graph would have
+    more than FAMILY_CAP vertices or edges."""
+    count, build, size = _FAMILIES[name]
+    args = _wheel(params) if count is None else _ints(params, count)
+    # a negative argument counts as 0, so that its builder refuses it
+    if max(size(*(max(a, 0) for a in args))) > FAMILY_CAP:
+        raise ValueError(f"over {FAMILY_CAP} vertices or edges")
+    return build(*args)
 
 
 def _cmd_family(args):
     name = args.name
-    if name not in _FAMILY_BUILDERS:
-        known = ", ".join(sorted(_FAMILY_BUILDERS))
+    if name not in _FAMILIES:
+        known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown family {name!r} (known: {known})")
     try:
-        built = _FAMILY_BUILDERS[name](args.params)
+        built = _build_family(name, args.params)
     except ValueError as exc:
         raise ValueError(f"bad parameters for {name}: {exc}")
     if isinstance(built, EmbeddedPartialGraph):

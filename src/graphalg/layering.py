@@ -60,16 +60,10 @@ def is_flower(G):
     return not find_strippable(G)
 
 
-def _check_applicable(G, op):
-    for candidate in find_strippable(G):
-        if candidate == op:
-            return
-    raise ValueError(f"operation {op} is not applicable")
-
-
 def apply_op(G, op):
     """Apply a layer-stripping move to a graph."""
-    _check_applicable(G, op)
+    if op not in find_strippable(G):
+        raise ValueError(f"operation {op} is not applicable")
     return _apply(G, op)
 
 
@@ -100,11 +94,11 @@ def apply_op_network(N, op):
     )
 
 
-def _strip(G, isolated, order_key):
+def _strip(G, isolated):
     """Greedy stripping over degree counters.  Returns (remnant, ops in
     the order applied).  Each step takes the move that
-    ``find_strippable(...)[0]`` would (or ``min(..., key=order_key)``),
-    skipping isolated-vertex moves unless ``isolated``.
+    ``find_strippable(...)[0]`` would, skipping isolated-vertex moves
+    unless ``isolated``.
 
     Candidate moves sit in a heap and are checked when popped.  A move
     that stops being applicable never becomes applicable again (degrees
@@ -123,9 +117,7 @@ def _strip(G, isolated, order_key):
     heap = []
 
     def push(op):
-        rank = op.sort_key()
-        entry = (order_key(op), rank, op) if order_key else (rank, op)
-        heapq.heappush(heap, entry)
+        heapq.heappush(heap, (op.sort_key(), op))
 
     def other(e, x):
         t, h = ends[e]
@@ -156,7 +148,7 @@ def _strip(G, isolated, order_key):
 
     ops = []
     while heap:
-        op = heapq.heappop(heap)[-1]
+        op = heapq.heappop(heap)[1]
         if op.kind == ISOLATED:
             if op.vertex not in boundary or degree.get(op.vertex, 0):
                 continue
@@ -189,12 +181,10 @@ def _strip(G, isolated, order_key):
     return remnant, ops
 
 
-def reduce_to_flower(G, order_key=None):
+def reduce_to_flower(G):
     """Greedy stripping to the unique flower.  Returns (flower, ops)
-    where ops lists the moves in the order they were applied;
-    ``order_key`` can reorder the candidate moves (used to test
-    confluence)."""
-    return _strip(G, True, order_key)
+    where ops lists the moves in the order they were applied."""
+    return _strip(G, True)
 
 
 def is_layerable(G):
@@ -210,17 +200,12 @@ def interiorize(G, S):
     return G.with_boundary(G.boundary | S)
 
 
-def strip_spike_edge(G):
-    """Strip only spikes and boundary edges (never isolated vertices),
-    preserving the boundary count.  Returns (remnant, ops in the order
-    they were applied)."""
-    return _strip(G, False, None)
-
-
 def strip_layerable(G, message="graph is not layerable"):
-    """``strip_spike_edge`` for a graph that must strip down to isolated
-    boundary vertices; raises ValueError(message) otherwise."""
-    remnant, ops = strip_spike_edge(G)
+    """Strip only spikes and boundary edges (never isolated vertices),
+    preserving the boundary count, from a graph that must strip down to
+    isolated boundary vertices; raises ValueError(message) otherwise.
+    Returns (remnant, ops in the order they were applied)."""
+    remnant, ops = _strip(G, False)
     if remnant.edges or set(remnant.vertices) - remnant.boundary:
         raise ValueError(message)
     return remnant, ops
@@ -252,10 +237,12 @@ class Filtration:
         at the index of the vertex it is attached to."""
         added = {op.vertex for op in self.ops if op.kind == SPIKE}
         label = sorted(set(self.graph.vertices) - added)
+        slot = {v: i for i, v in enumerate(label)}
         labellings = [tuple(label)]
         for op in self.ops:
             if op.kind == SPIKE:
-                label[label.index(op.interior_vertex)] = op.vertex
+                slot[op.vertex] = i = slot.pop(op.interior_vertex)
+                label[i] = op.vertex
             labellings.append(tuple(label))
         return tuple(labellings)
 
@@ -303,50 +290,6 @@ class ReductionTrace:
         return [g for g in self.leaves() if not g.is_empty()]
 
 
-def _low_points(G):
-    """(cut vertices, bridges) of G, the bridges as the ids of the
-    edges on no cycle: one iterative depth-first pass with low points
-    (Tarjan 1972).  The pass walks (edge id, neighbour) pairs and skips
-    only the edge it came in by, so a parallel edge counts as a back
-    edge."""
-    adj = {v: [] for v in G.vertices}
-    for e, t, h in G.edges:
-        adj[t].append((e, h))
-        adj[h].append((e, t))
-    order, low, cut, bridges = {}, {}, set(), set()
-    for root in G.vertices:
-        if root in order:
-            continue
-        order[root] = low[root] = len(order)
-        root_children = 0
-        stack = [(root, None, iter(adj[root]))]
-        while stack:
-            x, via, it = stack[-1]
-            for e, y in it:
-                if e == via:
-                    continue
-                if y in order:
-                    low[x] = min(low[x], order[y])
-                    continue
-                order[y] = low[y] = len(order)
-                if x == root:
-                    root_children += 1
-                stack.append((y, e, iter(adj[y])))
-                break
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[x])
-                    if low[x] > order[p]:
-                        bridges.add(via)
-                    if p != root and low[x] >= order[p]:
-                        cut.add(p)
-        if root_children > 1:
-            cut.add(root)
-    return cut, bridges
-
-
 def find_wedge_split(G):
     """The smallest boundary vertex whose removal disconnects the graph,
     together with the two induced wedge summands, or None.  The first
@@ -354,7 +297,7 @@ def find_wedge_split(G):
     x glued back on."""
     if not G.is_connected() or len(G.vertices) < 3:
         return None
-    cuts = _low_points(G)[0] & G.boundary
+    cuts = G.cut_vertices() & G.boundary
     if not cuts:
         return None
     x = min(cuts)
@@ -504,7 +447,7 @@ def degenerate_weights_normalized(G):
     every interior vertex."""
     if not is_irreducible(G):
         raise ValueError("input must be irreducible")
-    bridges = _low_points(G)[1]
+    bridges = G.bridges()
     S = set(G.edge_ids) - bridges
     # potential u: components of G minus the cycle edges
     comps = G.induced(G.vertices, bridges, G.boundary).connected_components()

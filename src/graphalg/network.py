@@ -27,6 +27,7 @@ from .exact_algebra import (
     ExactMatrix,
     Mod,
     _bareiss,
+    _is_exact_scalar,
     _is_unit,
     _smith_rows,
     kernel_mod_n_from_snf,
@@ -52,7 +53,7 @@ class Network:
             if e not in wmap:
                 raise ValueError("weight function must cover every edge exactly")
             w = wmap[e]
-            if not isinstance(w, (int, Fraction)) or isinstance(w, bool):
+            if not _is_exact_scalar(w):
                 raise TypeError(f"weight of edge {e} is not an exact scalar")
             ws.append((e, w))
         dmap = dict(offsets or ())
@@ -60,7 +61,7 @@ class Network:
         if dmap:
             raise ValueError(f"offset on unknown vertex {next(iter(dmap))}")
         for v, d in ds:
-            if not isinstance(d, (int, Fraction)) or isinstance(d, bool):
+            if not _is_exact_scalar(d):
                 raise TypeError(f"offset of vertex {v} is not an exact scalar")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "weights", tuple(ws))

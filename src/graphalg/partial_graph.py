@@ -8,9 +8,10 @@ stored once (with an id, a tail, and a head); each one stands for the
 pair of oriented edges ``(eid, +1)`` and ``(eid, -1)``, and reversal
 flips the sign.  ``star(x)`` is the set of oriented edges pointed away
 from x, so loops contribute both orientations.  A graph checks its parts
-once, when it is built.  It builds its edge ids, interior, edge map and
-stars once, on first use, and hands out read-only views of them; a
-morphism does the same with its vertex and edge maps.
+once, when it is built.  It builds its edge ids, interior, edge map,
+stars, connected components and low points once, on first use, and
+hands out read-only views of them; a morphism does the same with its
+vertex and edge maps.
 
 Morphisms may collapse edges to vertices; :func:`validate_morphism`
 checks the local constant-fiber-size condition and returns the local
@@ -132,8 +133,8 @@ class PartialGraph:
         es = [(e, t, h) for e, t, h in self.edges if e != eid]
         return PartialGraph(self.vertices, self.boundary, es)
 
-    def connected_components(self):
-        """List of vertex frozensets."""
+    @cached_property
+    def _components(self):
         adj = {v: set() for v in self.vertices}
         for _, t, h in self.edges:
             adj[t].add(h)
@@ -152,10 +153,64 @@ class PartialGraph:
                 stack.extend(adj[x] - comp)
             seen |= comp
             comps.append(frozenset(comp))
-        return comps
+        return tuple(comps)
+
+    def connected_components(self):
+        """List of vertex frozensets, by least vertex."""
+        return list(self._components)
 
     def is_connected(self):
-        return len(self.connected_components()) <= 1
+        return len(self._components) <= 1
+
+    @cached_property
+    def _low_points(self):
+        """(cut vertices, bridges), the bridges as the ids of the edges
+        on no cycle: one iterative depth-first pass with low points
+        (Tarjan 1972).  The pass walks (edge id, neighbour) pairs and
+        skips only the edge it came in by, so a parallel edge counts as
+        a back edge."""
+        adj = {v: [] for v in self.vertices}
+        for e, t, h in self.edges:
+            adj[t].append((e, h))
+            adj[h].append((e, t))
+        order, low, cut, bridges = {}, {}, set(), set()
+        for root in self.vertices:
+            if root in order:
+                continue
+            order[root] = low[root] = len(order)
+            root_children = 0
+            stack = [(root, None, iter(adj[root]))]
+            while stack:
+                x, via, it = stack[-1]
+                for e, y in it:
+                    if e == via:
+                        continue
+                    if y in order:
+                        low[x] = min(low[x], order[y])
+                        continue
+                    order[y] = low[y] = len(order)
+                    if x == root:
+                        root_children += 1
+                    stack.append((y, e, iter(adj[y])))
+                    break
+                else:
+                    stack.pop()
+                    if stack:
+                        p = stack[-1][0]
+                        low[p] = min(low[p], low[x])
+                        if low[x] > order[p]:
+                            bridges.add(via)
+                        if p != root and low[x] >= order[p]:
+                            cut.add(p)
+            if root_children > 1:
+                cut.add(root)
+        return frozenset(cut), frozenset(bridges)
+
+    def cut_vertices(self):
+        return self._low_points[0]
+
+    def bridges(self):
+        return self._low_points[1]
 
     def spanning_forest(self):
         """A spanning forest as ``{vertex: dart from its parent}``, in

@@ -12,8 +12,11 @@ import pytest
 import graphalg
 from graphalg import cli
 from graphalg.cli import (
-    _FAMILY_BUILDERS,
+    _FAMILIES,
+    FAMILY_CAP,
     DocumentError,
+    _build_family,
+    _wheel,
     NetworkDocument,
     main,
     parse_document,
@@ -57,14 +60,14 @@ class TestDocumentFormat:
         assert serialize_document(parse_document(text)) == text
 
     def test_every_family_builder_covers_samples(self):
-        assert set(FAMILY_PARAMS) == set(_FAMILY_BUILDERS)
+        assert set(FAMILY_PARAMS) == set(_FAMILIES)
 
     @pytest.mark.parametrize(
         "name,params",
         [(name, p) for name, ps in FAMILY_PARAMS.items() for p in ps],
     )
     def test_family_graph_equals_its_parsed_document(self, name, params):
-        built = _FAMILY_BUILDERS[name](params)
+        built = _build_family(name, params)
         if isinstance(built, EmbeddedPartialGraph):
             doc = NetworkDocument(Network.standard(built.graph), built)
         else:
@@ -73,6 +76,26 @@ class TestDocumentFormat:
         assert parsed.network == doc.network
         assert parsed.network.graph == doc.network.graph
         assert parsed.embedded == doc.embedded
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [(name, p) for name, ps in FAMILY_PARAMS.items() for p in ps],
+    )
+    def test_family_size_is_known_before_building(self, name, params):
+        count, _, size = _FAMILIES[name]
+        args = _wheel(params) if count is None else [int(p) for p in params]
+        built = _build_family(name, params)
+        G = built.graph if isinstance(built, EmbeddedPartialGraph) else built
+        assert size(*args) == (len(G.vertices), len(G.edges))
+
+    def test_family_cap_is_checked_before_building(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("built a graph over the cap")
+
+        monkeypatch.setitem(_FAMILIES, "cube", (1, never, _FAMILIES["cube"][2]))
+        for n in (20, 40, 10**9):
+            with pytest.raises(ValueError, match=f"over {FAMILY_CAP}"):
+                _build_family("cube", [str(n)])
 
     def test_comments_and_blank_lines_ignored(self):
         doc = parse_document("# a comment\n\nvertex 0 interior\n")
@@ -283,8 +306,10 @@ class TestCommands:
 
 BAD_INPUTS = {
     "eigmult-zero-denominator": ["eigmult", "--lambda", "1/0", "{w5}"],
+    "eigmult-bad-literal": ["eigmult", "--lambda", "abc", "{w5}"],
     "conjugate-missing-vertex": ["conjugate", "--values", "{partial}", "{w5}"],
     "conjugate-mod-0": ["conjugate", "--mod", "0", "--values", "{total}", "{w5}"],
+    "conjugate-repeated-vertex": ["conjugate", "--values", "{repeated}", "{w5}"],
     "u0-mod-0": ["u0", "--mod", "0", "{w5}"],
     "u0-matrix-repeated-vertex": ["u0-matrix", "--interiorize", "0,1,0", "{w5}"],
     "upsilon-non-integral": ["upsilon", "{rational}"],
@@ -296,6 +321,11 @@ BAD_INPUTS = {
     "family-missing-parameter": ["family", "clf", "3"],
     "family-unknown-wheel-option": ["family", "wheel", "5", "hubboundary"],
     "family-wheel-extra-parameter": ["family", "wheel", "5", "hub-boundary", "x"],
+    "family-bad-integer": ["family", "cycle", "x"],
+    "family-wheel-bad-integer": ["family", "wheel", "x"],
+    "family-cube-over-cap": ["family", "cube", "40"],
+    "family-cycle-over-cap": ["family", "cycle", "1000001"],
+    "family-complete-over-cap": ["family", "complete", "1416"],
 }
 
 # the exact stderr of the inputs above whose message is pinned (exit 1)
@@ -309,6 +339,20 @@ BAD_INPUT_ERRORS = {
         "bad parameters for wheel: expected n or n hub-boundary",
     "family-wheel-extra-parameter":
         "bad parameters for wheel: expected n or n hub-boundary",
+    "eigmult-zero-denominator": "bad eigenvalue '1/0'",
+    "eigmult-bad-literal": "bad eigenvalue 'abc'",
+    "family-bad-integer": "bad parameters for cycle: bad integer 'x'",
+    "family-wheel-bad-integer": "bad parameters for wheel: bad integer 'x'",
+    "family-cube-over-cap": "bad parameters for cube: over 1000000 vertices or edges",
+    "family-cycle-over-cap":
+        "bad parameters for cycle: over 1000000 vertices or edges",
+    "family-complete-over-cap":
+        "bad parameters for complete: over 1000000 vertices or edges",
+}
+
+# the exact stderr of the inputs above that are parse errors (exit 2)
+BAD_INPUT_PARSE_ERRORS = {
+    "conjugate-repeated-vertex": "line 2: duplicate vertex id 0",
 }
 
 
@@ -322,6 +366,7 @@ def test_bad_input_gives_an_error_line_not_a_traceback(case, argv, tmp_path, cap
         "total": "".join(f"{v} {v}\n" for v in range(6)),
         "rational": "vertex 0 boundary\nvertex 1 interior\nedge 0 0 1 w=1/2\n",
         "loop": "vertex 0 interior\nedge 0 0 0\n",
+        "repeated": "0 0\n0 1\n",
     }
     paths = {}
     for name, text in files.items():
@@ -335,6 +380,8 @@ def test_bad_input_gives_an_error_line_not_a_traceback(case, argv, tmp_path, cap
     )
     if case in BAD_INPUT_ERRORS:
         assert (code, err) == (1, f"error: {BAD_INPUT_ERRORS[case]}\n")
+    if case in BAD_INPUT_PARSE_ERRORS:
+        assert (code, err) == (2, f"parse error: {BAD_INPUT_PARSE_ERRORS[case]}\n")
 
 
 def test_only_emit_prints_to_stdout():

@@ -2,19 +2,20 @@
 degenerate-weight constructions."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphalg.families import complete_bipartite_bi, complete_graph, cycle, wheel
+from graphalg.families import clf, complete_bipartite_bi, complete_graph, cycle, wheel
 from graphalg.layering import (
     EDGE_DEL,
     ISOLATED,
     SPIKE,
     LayerOp,
-    _low_points,
     apply_op,
     apply_op_network,
     degenerate_weights_general,
@@ -28,7 +29,7 @@ from graphalg.layering import (
     is_layerable,
     reduce_to_flower,
     standard_form_filtration,
-    strip_spike_edge,
+    strip_layerable,
 )
 from graphalg.network import Network, in_U0, is_nondegenerate
 from graphalg.partial_graph import PartialGraph, wedge_sum
@@ -115,9 +116,7 @@ class TestLayerability:
             boundary = {v for v in range(nv) if rng.random() < 0.5}
             G = PartialGraph(range(nv), boundary, edges)
             f1, _ = reduce_to_flower(G)
-            f2, _ = reduce_to_flower(
-                G, order_key=lambda op: (-op.sort_key()[0], op.vertex)
-            )
+            f2, _ = naive_strip(G, True, lambda op: (-op.sort_key()[0], op.vertex))
             assert f1 == f2
 
 
@@ -149,9 +148,9 @@ class TestFiltration:
         with pytest.raises(ValueError):
             standard_form_filtration(cycle(4, boundary=()))
 
-    def test_strip_spike_edge_keeps_boundary_count(self):
+    def test_strip_layerable_keeps_boundary_count(self):
         G = complete_graph(4, boundary=range(4))
-        remnant, ops = strip_spike_edge(G)
+        remnant, ops = strip_layerable(G)
         assert len(remnant.boundary) == 4
         assert not remnant.edges
 
@@ -253,7 +252,7 @@ class TestDegenerateNormalized:
             assert not is_nondegenerate(N)
             pairs = [frozenset((t, h)) for _, t, h in G.edges]
             parallel += len(set(pairs)) < len(pairs)
-            bridged += bool(_low_points(G)[1])
+            bridged += bool(G.bridges())
         assert parallel >= 10 and bridged >= 5
 
     @pytest.mark.parametrize(
@@ -300,6 +299,46 @@ class TestDegenerateNormalized:
         assert counts[0] == counts[1] == counts[2]
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """Counts of the component walks and the low-point passes that
+    PartialGraph makes, by the name of the cached walk."""
+    counts = Counter()
+
+    def counting(name):
+        walk = vars(PartialGraph)[name].func
+
+        def counted(G):
+            counts[name] += 1
+            return walk(G)
+
+        prop = cached_property(counted)
+        prop.__set_name__(PartialGraph, name)
+        monkeypatch.setattr(PartialGraph, name, prop)
+
+    counting("_components")
+    counting("_low_points")
+    return counts
+
+
+@pytest.mark.parametrize("n", [40, 100])
+def test_degenerate_weights_walk_each_graph_once(walks, n):
+    """One component walk and one low-point pass on the wheel serve the
+    reduction step, the wedge split and the bridges; the second walk is
+    of the graph of the bridges."""
+    G = wheel(n, hub_boundary=True).graph
+    walks.clear()
+    degenerate_weights_normalized(G)
+    assert (walks["_components"], walks["_low_points"]) == (2, 1)
+
+
+def test_reduction_walks_an_irreducible_graph_once(walks):
+    G = clf(60, 8)
+    ok, trace = is_completely_reducible(G)
+    assert not ok and trace.root.graph is G and not trace.root.children
+    assert (walks["_components"], walks["_low_points"]) == (1, 1)
+
+
 def components_without(G, vertex=None, edge=None):
     vs = [v for v in G.vertices if v != vertex]
     es = [x for x in G.edges if x[0] != edge and vertex not in x[1:]]
@@ -320,7 +359,7 @@ def test_low_points_against_deletion(seed):
     edges += [(100 + e, h, t) for e, t, h in edges if rng.random() < 0.2]
     G = PartialGraph(range(nv), (), edges)
     k = len(G.connected_components())
-    cut, bridges = _low_points(G)
+    cut, bridges = G.cut_vertices(), G.bridges()
     assert bridges == {e for e in G.edge_ids if components_without(G, edge=e) > k}
     assert cut == {v for v in G.vertices if components_without(G, vertex=v) > k}
 
@@ -399,15 +438,20 @@ def shuffled(salt):
 
 class TestWorklistAgainstReference:
     @settings(max_examples=300, deadline=None)
-    @given(multigraphs(), st.none() | st.integers(0, 10**6))
+    @given(multigraphs(), st.integers(0, 10**6))
     def test_reduce_to_flower(self, G, salt):
-        key = None if salt is None else shuffled(salt)
-        assert reduce_to_flower(G, order_key=key) == naive_strip(G, True, key)
+        assert reduce_to_flower(G) == naive_strip(G)
+        assert reduce_to_flower(G)[0] == naive_strip(G, True, shuffled(salt))[0]
 
     @settings(max_examples=300, deadline=None)
     @given(multigraphs())
-    def test_strip_spike_edge(self, G):
-        assert strip_spike_edge(G) == naive_strip(G, isolated=False)
+    def test_strip_layerable(self, G):
+        remnant, ops = naive_strip(G, isolated=False)
+        if remnant.edges or set(remnant.vertices) - remnant.boundary:
+            with pytest.raises(ValueError, match="not layerable"):
+                strip_layerable(G)
+        else:
+            assert strip_layerable(G) == (remnant, ops)
 
     @settings(max_examples=300, deadline=None)
     @given(connected_multigraphs())
