@@ -212,26 +212,33 @@ def interior_smith(N):
     return _smith_rows(interior_rows(N), len(N.graph.interior))
 
 
-def apply_L(N, u):
-    """Lu as a VertexFunction; u may be valued in Z, Q, or Z/n."""
+def _total_value_map(N, u):
     uv = _value_map(u)
     if set(uv) != set(N.graph.vertices):
         raise ValueError("vertex function must be total")
+    return uv
+
+
+def _L_at(N, uv, x):
+    """(Lu)(x) from row x of s L."""
     rows, s = N._laplacian
-    out = {}
-    for x, row in rows.items():
-        # start from a zero of u's type, so that Z/n values stay in Z/n
-        acc = 0 * uv[x]
-        for y, a in row.items():
-            acc = acc + a * uv[y]
-        out[x] = acc if s == 1 else acc * Fraction(1, s)
-    return VertexFunction(out)
+    # start from a zero of u's type, so that Z/n values stay in Z/n
+    acc = 0 * uv[x]
+    for y, a in rows[x].items():
+        acc = acc + a * uv[y]
+    return acc if s == 1 else acc * Fraction(1, s)
+
+
+def apply_L(N, u):
+    """Lu as a VertexFunction; u may be valued in Z, Q, or Z/n."""
+    uv = _total_value_map(N, u)
+    return VertexFunction({x: _L_at(N, uv, x) for x in N.graph.vertices})
 
 
 def is_harmonic(N, u):
     """Lu vanishes at every interior vertex."""
-    Lu = apply_L(N, u)
-    return all(_is_zero(Lu(x)) for x in N.graph.interior)
+    uv = _total_value_map(N, u)
+    return all(_is_zero(_L_at(N, uv, x)) for x in N.graph.interior)
 
 
 def in_U0(N, u):

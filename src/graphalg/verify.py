@@ -37,6 +37,7 @@ from .fundamental import (
     charpoly_divisibility_check,
     critical_group,
     eigen_multiplicity,
+    laplacian_charpoly,
     torsion_crosscheck,
     upsilon,
 )
@@ -307,7 +308,8 @@ def _is_cycle(G):
 def check_cycle_spectra():
     """Adjacency eigenvalues of C_n have multiplicity at most 2, with
     equality away from +/-2; and the characteristic polynomial of a base
-    graph divides that of its bipartite double cover."""
+    graph divides that of its bipartite double cover, whose quotient is
+    the characteristic polynomial of D + A."""
     import sympy
 
     z = sympy.Symbol("z")
@@ -340,19 +342,41 @@ def check_cycle_spectra():
         families.complete_graph(4),
         families.complete_graph(32),
         families.cube(5),
+        families.cube(6),
     ):
         cover, f = bipartite_double_cover(G)
         if not charpoly_divisibility_check(
             f, Network.standard(cover), Network.standard(G)
         ):
             bad.append(("double-cover", len(G.vertices)))
+        if not _two_lift_identity(G, cover):
+            bad.append(("two-lift", len(G.vertices)))
     return _result(
         "cycle-spectra",
         not bad,
-        "C_n n 3..12; double covers of C3, K4, K32, Q5"
+        "C_n n 3..12; double covers of C3, K4, K32, Q5, Q6"
         if not bad
         else f"failed: {bad}",
     )
+
+
+def _two_lift_identity(G, cover):
+    """charpoly(L(cover)) = charpoly(D - A) * charpoly(D + A) for the
+    bipartite double cover of G: its Laplacian [[D, -A], [-A, D]] splits
+    on the vectors (x, x) and (x, -x).  D + A is G's network with
+    weights -1 and offsets 2 deg."""
+    signless = Network(
+        G,
+        {e: -1 for e in G.edge_ids},
+        {v: 2 * G.degree(v) for v in G.vertices},
+    )
+    a = laplacian_charpoly(Network.standard(G))
+    b = laplacian_charpoly(signless)
+    product = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    return laplacian_charpoly(Network.standard(cover)) == product
 
 
 def _negate(N):

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +14,9 @@ from graphalg.exact_algebra import (
     Mod,
     ModuleDecomposition,
     _inverse,
+    _is_prime,
     _is_unit,
+    _prime,
     _sparse_pivots,
     charpoly,
     cokernel,
@@ -427,25 +429,113 @@ class TestKernelQmodZ:
         )
 
 
-class TestCharpolyAndDeterminant:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(0, 8).flatmap(
-            lambda n: st.lists(
-                st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-                min_size=n,
-                max_size=n,
-            )
+def square_matrices(sizes, entries=st.integers(-99, 99)):
+    return sizes.flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
         )
     )
+
+
+def sympy_charpoly(rows):
+    import sympy
+
+    n = len(rows)
+    coeffs = sympy.Matrix(n, n, sum(rows, [])).charpoly().all_coeffs()
+    return [int(c) for c in coeffs]
+
+
+def poly_product(polys):
+    """Product of integer polynomials, coefficients highest degree first."""
+    out = [1]
+    for p in polys:
+        prod = [0] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+class TestCharpolyAndDeterminant:
+    @settings(max_examples=60, deadline=None)
+    @given(square_matrices(st.integers(0, 12)))
     def test_charpoly_matches_sympy(self, rows):
+        # entries up to 99 need up to three primes at n = 12
+        assert charpoly(ExactMatrix(rows)) == sympy_charpoly(rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(square_matrices(st.integers(0, 12)), st.booleans())
+    def test_charpoly_of_triangular_matrix(self, rows, upper):
+        # an upper triangular matrix has no pivot below any subdiagonal
+        n = len(rows)
+        T = [
+            [a if (j >= i if upper else j <= i) else 0 for j, a in enumerate(r)]
+            for i, r in enumerate(rows)
+        ]
+        want = poly_product([[1, -T[i][i]] for i in range(n)])
+        assert charpoly(ExactMatrix(T)) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(square_matrices(st.integers(0, 4)), min_size=1, max_size=4),
+        st.randoms(use_true_random=False),
+    )
+    def test_charpoly_of_block_diagonal_matrix(self, blocks, rng):
+        # a similar block-diagonal matrix has columns that are zero below
+        # the subdiagonal wherever a block ends
+        n = sum(len(b) for b in blocks)
+        D = [[0] * n for _ in range(n)]
+        k = 0
+        for b in blocks:
+            for i, r in enumerate(b):
+                D[k + i][k : k + len(b)] = r
+            k += len(b)
+        order = list(range(n))
+        rng.shuffle(order)
+        P = [[D[i][j] for j in order] for i in order]
+        want = poly_product([sympy_charpoly(b) for b in blocks])
+        assert charpoly(ExactMatrix(D)) == want
+        assert charpoly(ExactMatrix(P)) == want
+
+    @pytest.mark.parametrize("n,r", [(0, 5), (1, -7), (30, 2**40), (30, -(2**40))])
+    def test_charpoly_of_scalar_matrix(self, n, r):
+        # det(zI - rI) = (z - r)^n has the largest coefficients that
+        # the bound (1 + |r|)^n allows, of both signs
+        got = charpoly(ExactMatrix([[r * (i == j) for j in range(n)] for i in range(n)]))
+        assert got == [comb(n, k) * (-r) ** k for k in range(n + 1)]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_charpoly_coefficient_above_half_the_first_prime(self, sign):
+        # |a| < p but |a| > p / 2: one prime cannot tell a from a - p,
+        # so the bound 2 (1 + |a|) must call for a second one
+        a = sign * (_prime(0) - 10)
+        assert charpoly(ExactMatrix([[a]])) == [1, -a]
+
+    def test_charpoly_errors(self):
+        with pytest.raises(ValueError, match="square matrix required"):
+            charpoly(ExactMatrix([[1, 2]]))
+        with pytest.raises(ValueError, match="integer matrix required"):
+            charpoly(ExactMatrix([[Fraction(1, 2)]]))
+
+    def test_primes_are_the_largest_below_2_to_62(self):
         import sympy
 
-        A = ExactMatrix(rows)
-        got = charpoly(A)
-        n = len(rows)
-        want = sympy.Matrix(n, n, sum(rows, [])).charpoly().all_coeffs()
-        assert [int(c) for c in got] == [int(c) for c in want]
+        primes = [_prime(i) for i in range(40)]
+        assert len(set(primes)) == len(primes)
+        assert all(sympy.isprime(p) for p in primes)
+        # consecutive, so none below 2**62 is skipped
+        assert primes[0] == sympy.prevprime(2**62)
+        assert all(sympy.prevprime(p) == q for p, q in zip(primes, primes[1:]))
+
+    def test_is_prime_matches_sympy(self):
+        import sympy
+
+        near = range(2**62 - 3000, 2**62)
+        # strong pseudoprimes to bases 2..7 and to bases 2..23
+        pseudo = [3215031751, 3825123056546413051]
+        for n in [*range(3000), *near, *pseudo]:
+            assert _is_prime(n) == sympy.isprime(n), n
 
     def test_determinant_is_constant_term_sign(self):
         A = ExactMatrix([[1, 2], [3, 4]])

@@ -27,6 +27,7 @@ from graphalg.fundamental import (
 )
 from graphalg.network import Network, laplacian_matrix
 from graphalg.partial_graph import PartialGraph, bipartite_double_cover
+from graphalg.verify import _two_lift_identity
 
 nonzero_fractions = st.fractions(-5, 5, max_denominator=4).filter(bool)
 
@@ -164,10 +165,21 @@ class TestSpectra:
         p = laplacian_charpoly(Network.standard(cube(6)))
         assert p == monic_with_roots(roots)
 
+    def test_cube_7_charpoly_closed_form(self):
+        # 128 vertices: the bound (1 + 14)^128 needs nine primes
+        roots = [2 * k for k in range(8) for _ in range(comb(7, k))]
+        p = laplacian_charpoly(Network.standard(cube(7)))
+        assert p == monic_with_roots(roots)
+
     def test_complete_graph_charpoly_closed_form(self):
         # L(K_32) = 32 I - J: eigenvalue 0 once and 32 thirty-one times
         p = laplacian_charpoly(Network.standard(complete_graph(32)))
         assert p == monic_with_roots([0] + [32] * 31)
+
+    def test_complete_graph_48_charpoly_closed_form(self):
+        # the bound (1 + 94)^48 needs six primes
+        p = laplacian_charpoly(Network.standard(complete_graph(48)))
+        assert p == monic_with_roots([0] + [48] * 47)
 
     def test_eigen_multiplicity_K4(self):
         # spectrum of L(K_4): 0, 4, 4, 4
@@ -235,6 +247,14 @@ class TestSpectra:
         assert eigen_multiplicity(N, c + n * w) == n - 1
         assert eigen_multiplicity(N, c) == 1
         assert eigen_multiplicity(N, c + n * w / 2) == 0
+
+    def test_two_lift_identity_rejects_a_wrong_base(self):
+        cover, _ = bipartite_double_cover(cycle(8))
+        assert _two_lift_identity(cycle(8), cover)
+        assert not _two_lift_identity(cycle(5), cover)
+        # the path on 8 vertices has the degree of the cover's quotient
+        path = PartialGraph(range(8), (), [(i, i, i + 1) for i in range(7)])
+        assert not _two_lift_identity(path, cover)
 
     def test_double_cover_charpoly_divisibility(self):
         G = complete_graph(4)

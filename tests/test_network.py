@@ -245,6 +245,27 @@ class TestOracle:
             with pytest.raises(ValueError, match="non-integer entries"):
                 laplacian_charpoly(N)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(integer_networks(), integer_networks(RATIONAL_SCALARS)),
+        st.data(),
+    )
+    def test_is_harmonic_matches_edge_sum_oracle(self, N, data):
+        L = oracle_laplacian(N)
+        V = N.graph.vertices
+        # small values, so that Lu vanishes at some vertices
+        u = {v: data.draw(st.integers(-1, 1)) for v in V}
+        Lu = [sum(a * u[y] for a, y in zip(row, V)) for row in L]
+        want = all(Lu[V.index(x)] == 0 for x in N.graph.interior)
+        assert is_harmonic(N, u) == want
+        # over Z/101 the oracle's values vanish when their residues do
+        assert is_harmonic(N, {y: Mod(u[y], 101) for y in V}) == all(
+            Mod(Lu[V.index(x)], 101) == 0 for x in N.graph.interior
+        )
+        partial = dict(list(u.items())[1:])
+        with pytest.raises(ValueError, match="must be total"):
+            is_harmonic(N, partial)
+
     def test_charpoly_of_integral_L_with_fraction_weights(self):
         # two parallel edges of weight 1/2 make an integral Laplacian
         G = PartialGraph(range(2), (), {0: (0, 1), 1: (0, 1)})
