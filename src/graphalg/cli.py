@@ -91,6 +91,9 @@ def _parse_field(tokens, prefix, line_no, default):
     return default if value is None else value
 
 
+_SIGNS = {"+": 1, "-": -1}
+
+
 def _format_scalar(x):
     if isinstance(x, Mod):
         return str(x.value)
@@ -102,71 +105,112 @@ def _format_scalar(x):
 def parse_document(text):
     """Parse a NetworkDocument.  The parser checks what the text alone
     shows, repeated ids included; PartialGraph and Network check the
-    rest, and their errors are reported as parse errors of line 0."""
-    vertices = {}
+    rest, and their errors are reported as parse errors of line 0.
+
+    Edge and vertex lines, most of any document, are read inline: ids
+    by ``int`` and a sign test, and no field or one integer field
+    directly.  Whatever that does not accept goes to ``_parse_id`` and
+    ``_parse_field``, which format every error, in the same order."""
+    vertices = set()
+    boundary = []
     offsets = {}
-    edges = {}
+    edges = []
     weights = {}
     rotation = {}
     boundary_order = None
     metadata = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
-        if not parts or parts[0].startswith("#"):
+        if not parts:
             continue
-        kind, args = parts[0], parts[1:]
-        if kind == "vertex":
-            if len(args) < 2 or args[1] not in ("boundary", "interior"):
-                raise DocumentError(
-                    line_no, "expected: vertex <id> boundary|interior [d=..]"
-                )
-            vid = _parse_id(args[0], line_no)
-            if vid in vertices:
-                raise DocumentError(line_no, f"duplicate vertex id {vid}")
-            vertices[vid] = args[1] == "boundary"
-            offsets[vid] = _parse_field(args[2:], "d=", line_no, 0)
-        elif kind == "edge":
-            if len(args) < 3:
+        kind = parts[0]
+        n = len(parts)
+        if kind == "edge":
+            if n < 4:
                 raise DocumentError(
                     line_no, "expected: edge <id> <tail> <head> [w=..]"
                 )
-            eid = _parse_id(args[0], line_no)
-            if eid in edges:
+            try:
+                eid, t, h = int(parts[1]), int(parts[2]), int(parts[3])
+            except ValueError:
+                eid = t = h = -1
+            if eid < 0:
+                eid = _parse_id(parts[1], line_no)
+            if eid in weights:
                 raise DocumentError(line_no, f"duplicate edge id {eid}")
-            edges[eid] = (
-                _parse_id(args[1], line_no),
-                _parse_id(args[2], line_no),
-            )
-            weights[eid] = _parse_field(args[3:], "w=", line_no, 1)
+            if t < 0 or h < 0:
+                t = _parse_id(parts[2], line_no)
+                h = _parse_id(parts[3], line_no)
+            edges.append((eid, t, h))
+            w = 1
+            if n > 4:
+                token = parts[4]
+                if n == 5 and token[:2] == "w=" and "/" not in token:
+                    try:
+                        w = int(token[2:])
+                    except ValueError:
+                        w = _parse_field(parts[4:], "w=", line_no, 1)
+                else:
+                    w = _parse_field(parts[4:], "w=", line_no, 1)
+            weights[eid] = w
+        elif kind == "vertex":
+            if n < 3 or parts[2] not in ("boundary", "interior"):
+                raise DocumentError(
+                    line_no, "expected: vertex <id> boundary|interior [d=..]"
+                )
+            try:
+                vid = int(parts[1])
+            except ValueError:
+                vid = -1
+            if vid < 0:
+                vid = _parse_id(parts[1], line_no)
+            if vid in vertices:
+                raise DocumentError(line_no, f"duplicate vertex id {vid}")
+            vertices.add(vid)
+            if parts[2] == "boundary":
+                boundary.append(vid)
+            if n > 3:
+                token = parts[3]
+                if n == 4 and token[:2] == "d=" and "/" not in token:
+                    try:
+                        offsets[vid] = int(token[2:])
+                    except ValueError:
+                        offsets[vid] = _parse_field(parts[3:], "d=", line_no, 0)
+                else:
+                    offsets[vid] = _parse_field(parts[3:], "d=", line_no, 0)
         elif kind == "rotation":
-            if not args:
+            if n < 2:
                 raise DocumentError(line_no, "expected: rotation <v> <±e>...")
-            vid = _parse_id(args[0], line_no)
+            vid = _parse_id(parts[1], line_no)
             if vid in rotation:
                 raise DocumentError(line_no, f"duplicate rotation for {vid}")
             darts = []
-            for token in args[1:]:
-                if token[:1] not in "+-":
+            for token in parts[2:]:
+                sign = _SIGNS.get(token[0])
+                if sign is None:
                     raise DocumentError(
                         line_no, f"oriented edge {token!r} needs a sign"
                     )
-                darts.append(
-                    (_parse_id(token[1:], line_no), 1 if token[0] == "+" else -1)
-                )
+                try:
+                    e = int(token[1:])
+                except ValueError:
+                    e = -1
+                if e < 0:
+                    e = _parse_id(token[1:], line_no)
+                darts.append((e, sign))
             rotation[vid] = tuple(darts)
         elif kind == "boundary-order":
             if boundary_order is not None:
                 raise DocumentError(line_no, "duplicate boundary-order")
-            boundary_order = tuple(_parse_id(a, line_no) for a in args)
+            boundary_order = tuple(_parse_id(a, line_no) for a in parts[1:])
         elif kind == "meta":
-            if not args:
+            if n < 2:
                 raise DocumentError(line_no, "expected: meta <key> [value..]")
-            metadata[args[0]] = " ".join(args[1:])
-        else:
+            metadata[parts[1]] = " ".join(parts[2:])
+        elif not kind.startswith("#"):
             raise DocumentError(line_no, f"unknown directive {kind!r}")
     if not vertices:
         raise DocumentError(0, "document has no vertices")
-    boundary = {v for v, is_bd in vertices.items() if is_bd}
     try:
         graph = PartialGraph(vertices, boundary, edges)
         network = Network(graph, weights, offsets)
@@ -203,25 +247,31 @@ def _parse_id(text, line_no=None):
 
 
 def serialize_document(doc):
+    """The canonical text of ``doc``.  An ``int`` weight or offset is
+    written as it is; ``_format_scalar`` writes any other scalar."""
     N = doc.network
     G = N.graph
-    dmap = N.dmap
-    lines = []
-    for v in G.vertices:
-        kind = "boundary" if v in G.boundary else "interior"
-        entry = f"vertex {v} {kind}"
-        if dmap[v] != 0:
-            entry += f" d={_format_scalar(dmap[v])}"
-        lines.append(entry)
-    for e, t, h in G.edges:
-        lines.append(f"edge {e} {t} {h} w={_format_scalar(N.weight(e))}")
+    boundary = G.boundary
+    lines = [
+        f"vertex {v} {'boundary' if v in boundary else 'interior'}"
+        + (
+            ""
+            if d == 0
+            else f" d={d if type(d) is int else _format_scalar(d)}"
+        )
+        for v, d in N.offsets
+    ]
+    lines += [
+        f"edge {e} {t} {h} w={w if type(w) is int else _format_scalar(w)}"
+        for (e, t, h), (_, w) in zip(G.edges, N.weights)
+    ]
     if doc.embedded is not None:
-        for v, darts in doc.embedded.rotation:
-            tokens = " ".join(
-                ("+" if s > 0 else "-") + str(e) for e, s in darts
-            )
-            lines.append(f"rotation {v} {tokens}".rstrip())
-        order = " ".join(str(v) for v in doc.embedded.boundary_order)
+        lines += [
+            f"rotation {v}"
+            + "".join([f" +{e}" if s > 0 else f" -{e}" for e, s in darts])
+            for v, darts in doc.embedded.rotation
+        ]
+        order = " ".join(map(str, doc.embedded.boundary_order))
         lines.append(f"boundary-order {order}".rstrip())
     for key in sorted(doc.metadata):
         lines.append(f"meta {key} {doc.metadata[key]}".rstrip())

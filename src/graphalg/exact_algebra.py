@@ -104,6 +104,11 @@ def _is_exact_scalar(x):
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+# The exact types themselves: a value whose type is one of them is an
+# exact scalar, so a bulk check of types needs no per-value call.
+_EXACT_TYPES = frozenset({int, Fraction})
+
+
 def _is_unit(w):
     """True iff the exact scalar ``w`` is a unit of its ring: over Q
     every non-integral value is, over Z only +1 and -1."""
@@ -878,9 +883,15 @@ def charpoly(A):
     """
     if A.rows != A.cols:
         raise ValueError("square matrix required")
-    M = _require_integer(A)
-    bound = 2 * (1 + max((sum(map(abs, r)) for r in M), default=0)) ** A.rows
-    coeffs, modulus, i = [0] * (A.rows + 1), 1, 0
+    return _charpoly_rows(_require_integer(A))
+
+
+def _charpoly_rows(M):
+    """:func:`charpoly` of the square int rows ``M``, which it does not
+    check; callers that hold int rows skip the ExactMatrix."""
+    n = len(M)
+    bound = 2 * (1 + max((sum(map(abs, r)) for r in M), default=0)) ** n
+    coeffs, modulus, i = [0] * (n + 1), 1, 0
     while modulus <= bound:
         p = _prime(i)
         i += 1

@@ -19,9 +19,9 @@ from .exact_algebra import (
     ExactMatrix,
     ModuleDecomposition,
     _bareiss,
+    _charpoly_rows,
     _smith_rows,
     _sparse_pivots,
-    charpoly,
     cokernel,
     cokernel_from_snf,
     determinant,
@@ -118,7 +118,7 @@ def laplacian_charpoly(N):
         if any(a % s for r in rows for a in r):
             raise ValueError("matrix has non-integer entries")
         rows = [[a // s for a in r] for r in rows]
-    return charpoly(ExactMatrix(rows))
+    return _charpoly_rows(rows)
 
 
 def eigen_multiplicity(N, lam):
@@ -146,15 +146,27 @@ def eigen_multiplicity(N, lam):
 def charpoly_divisibility_check(f, N1, N2):
     """For a degree-n harmonic morphism of boundaryless networks, check
     the divisibility det(zI - L2) | det(nzI - L1) exactly."""
+    n = _constant_degree(f)
+    p1 = laplacian_charpoly(N1)
+    return _charpoly_divides(p1, laplacian_charpoly(N2), n)
+
+
+def _constant_degree(f):
+    """The degree of the harmonic morphism ``f`` of boundaryless graphs;
+    ValueError unless it is one, of constant degree."""
     degrees = validate_morphism(f)
     interior_degrees = {degrees[x] for x in f.source.interior}
     if f.source.boundary or f.target.boundary:
         raise ValueError("boundaryless graphs required")
     if len(interior_degrees) != 1:
         raise ValueError("morphism degree is not constant")
-    n = interior_degrees.pop()
-    p1 = laplacian_charpoly(N1)
-    p2 = laplacian_charpoly(N2)
+    return interior_degrees.pop()
+
+
+def _charpoly_divides(p1, p2, n):
+    """True iff p2 divides p1(nz), for charpolys p1 = det(zI - L1) and
+    p2 = det(zI - L2): the check of :func:`charpoly_divisibility_check`
+    for callers that already hold both polynomials."""
     # det(nzI - L1) = sum_j a_j n^j z^j where p1(w) = sum_j a_j w^j
     deg1 = len(p1) - 1
     scaled = [c * n ** (deg1 - i) for i, c in enumerate(p1)]

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import lcm
 from types import MappingProxyType
 
@@ -26,6 +27,7 @@ from .exact_algebra import (
     DivisibleKernelError,
     ExactMatrix,
     Mod,
+    _EXACT_TYPES,
     _bareiss,
     _is_exact_scalar,
     _is_unit,
@@ -43,29 +45,41 @@ class Network:
     offsets: tuple  # (vertex, scalar) pairs
 
     def __init__(self, graph, weights, offsets=None):
+        edges = graph.edges
         wmap = dict(weights)
-        if len(wmap) != len(graph.edges):
+        if len(wmap) != len(edges):
             raise ValueError("weight function must cover every edge exactly")
-        ws = []
-        for e, t, h in graph.edges:
-            if t == h:
-                raise ValueError(f"loops are not allowed in networks (edge {e})")
-            if e not in wmap:
-                raise ValueError("weight function must cover every edge exactly")
-            w = wmap[e]
-            if not _is_exact_scalar(w):
-                raise TypeError(f"weight of edge {e} is not an exact scalar")
-            ws.append((e, w))
+        try:
+            ws = [(e, wmap[e]) for e, t, h in edges if t != h]
+        except KeyError:
+            ws = None
+        # the per-edge loop runs only to name the first offender, or to
+        # accept a subclass of int or Fraction other than bool
+        if ws is None or len(ws) < len(edges) or not _EXACT_TYPES.issuperset(
+            map(type, wmap.values())
+        ):
+            ws = []
+            for e, t, h in edges:
+                if t == h:
+                    raise ValueError(f"loops are not allowed in networks (edge {e})")
+                if e not in wmap:
+                    raise ValueError("weight function must cover every edge exactly")
+                w = wmap[e]
+                if not _is_exact_scalar(w):
+                    raise TypeError(f"weight of edge {e} is not an exact scalar")
+                ws.append((e, w))
+        vs = graph.vertices
         dmap = dict(offsets or ())
-        ds = tuple((v, dmap.pop(v, 0)) for v in graph.vertices)
+        ds = list(map(dmap.pop, vs, repeat(0)))
         if dmap:
             raise ValueError(f"offset on unknown vertex {next(iter(dmap))}")
-        for v, d in ds:
-            if not _is_exact_scalar(d):
-                raise TypeError(f"offset of vertex {v} is not an exact scalar")
+        if not _EXACT_TYPES.issuperset(map(type, ds)):
+            for v, d in zip(vs, ds):
+                if not _is_exact_scalar(d):
+                    raise TypeError(f"offset of vertex {v} is not an exact scalar")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "weights", tuple(ws))
-        object.__setattr__(self, "offsets", ds)
+        object.__setattr__(self, "offsets", tuple(zip(vs, ds)))
 
     @cached_property
     def _weight(self):

@@ -40,13 +40,16 @@ class PartialGraph:
     edges: tuple  # of (eid, tail, head)
 
     def __init__(self, vertices, boundary, edges):
-        known = set(int(v) for v in vertices)
+        known = set(map(int, vertices))
         vs = tuple(sorted(known))
-        bd = frozenset(int(v) for v in boundary)
+        bd = frozenset(map(int, boundary))
+        # a list sorts faster than a generator; unpacking each edge
+        # keeps the error that a malformed one raises
         if isinstance(edges, dict):
-            es = tuple(sorted((int(e), int(t), int(h)) for e, (t, h) in edges.items()))
+            es = [(int(e), int(t), int(h)) for e, (t, h) in edges.items()]
         else:
-            es = tuple(sorted((int(e), int(t), int(h)) for e, t, h in edges))
+            es = [(int(e), int(t), int(h)) for e, t, h in edges]
+        es = tuple(sorted(es))
         _check_parts(known, bd, es)
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "boundary", bd)
