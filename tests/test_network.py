@@ -1,5 +1,6 @@
 """Unit tests for networks and harmonic-function modules."""
 
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,41 @@ class TestNetwork:
             Network(path3(), {0: 1, 1: bad})
         with pytest.raises(TypeError, match="offset of vertex 1 is not"):
             Network(path3(), {0: 1, 1: 1}, {1: bad})
+
+    def test_construction_errors(self):
+        class One(IntEnum):
+            ONE = 1
+
+        G = path3()
+        # edge 1 is a loop and edge 0 has no weight: the per-edge check
+        # meets edge 0 first
+        looped = PartialGraph(range(3), (0,), {0: (0, 1), 1: (1, 1)})
+        cases = [
+            (lambda: Network(G, {0: True, 1: 1}), TypeError,
+             "weight of edge 0 is not an exact scalar"),
+            (lambda: Network(G, {0: 1, 1: 1}, {1: 0.5}), TypeError,
+             "offset of vertex 1 is not an exact scalar"),
+            (lambda: Network(G, {0: 1, 1: 1}, {1: None}), TypeError,
+             "offset of vertex 1 is not an exact scalar"),
+            (lambda: Network(looped, {5: 1, 1: 1}), ValueError,
+             "weight function must cover every edge exactly"),
+            (lambda: Network(looped, {0: 1, 1: 1}), ValueError,
+             "loops are not allowed in networks (edge 1)"),
+            (lambda: Network(looped, {0: 0.5, 1: 1}), TypeError,
+             "weight of edge 0 is not an exact scalar"),
+            (lambda: Network(G, {0: 1}), ValueError,
+             "weight function must cover every edge exactly"),
+            (lambda: Network(G, {0: 1, 1: 1}, {9: 1.5}), ValueError,
+             "offset on unknown vertex 9"),
+        ]
+        for build, error, message in cases:
+            with pytest.raises(error) as err:
+                build()
+            assert str(err.value) == message
+        # a subclass of int other than bool is exact, and kept as given
+        N = Network(G, {0: One.ONE, 1: 1}, {1: One.ONE})
+        assert type(N.weight(0)) is One and type(N.offset(1)) is One
+        assert N.weights == ((0, 1), (1, 1)) and N.offsets == ((0, 0), (1, 1), (2, 0))
 
     def test_predicates(self):
         N = Network(path3(), {0: 1, 1: -1}, {1: 2})

@@ -117,6 +117,37 @@ class TestPartialGraph:
             with pytest.raises(ValueError, match="edge endpoint 7 is not a vertex"):
                 PartialGraph(range(3), (), edges)
 
+    @pytest.mark.parametrize(
+        "vertices,boundary,edges,error,message",
+        [
+            (range(3), {0, 5}, {0: (0, 1)}, ValueError, "boundary vertex 5 is not a vertex"),
+            (range(3), {0, 5}, [(0, 0, 1)], ValueError, "boundary vertex 5 is not a vertex"),
+            (range(3), (), [(0, 0, 1), (0, 1, 2)], ValueError, "repeated edge id 0"),
+            (range(3), (), {0: (0, 1), 1: (2, 7)}, ValueError,
+             "edge endpoint 7 is not a vertex (edge 1 references unknown vertices)"),
+            (range(3), (), [(0, 0, 1), (1, 7, 2)], ValueError,
+             "edge endpoint 7 is not a vertex (edge 1 references unknown vertices)"),
+            ([0, None], (), {}, TypeError,
+             "int() argument must be a string, a bytes-like object or a real"
+             " number, not 'NoneType'"),
+            ([0, "x"], (), {}, ValueError, "invalid literal for int() with base 10: 'x'"),
+            (range(3), (), {0: (0, None)}, TypeError,
+             "int() argument must be a string, a bytes-like object or a real"
+             " number, not 'NoneType'"),
+            (range(3), (), [(0, 1, "x")], ValueError,
+             "invalid literal for int() with base 10: 'x'"),
+            (range(3), (), {0: (0, 1, 2)}, ValueError, "too many values to unpack (expected 2)"),
+            (range(3), (), {0: 1}, TypeError, "cannot unpack non-iterable int object"),
+            (range(3), (), [(0, 1, 2), (1, 1)], ValueError,
+             "not enough values to unpack (expected 3, got 2)"),
+            (range(3), (), [(0, 1, 2, 3)], ValueError, "too many values to unpack (expected 3)"),
+        ],
+    )
+    def test_construction_errors(self, vertices, boundary, edges, error, message):
+        with pytest.raises(error) as err:
+            PartialGraph(vertices, boundary, edges)
+        assert str(err.value) == message
+
     def test_vertex_deletion_drops_incident_edges(self):
         G = PartialGraph(range(2), (), {0: (0, 1)})
         H = G.delete_vertex(1)
