@@ -8,7 +8,12 @@ move that changes at most two entries: a spike at one label or a
 boundary edge between two labels.  A plan reads these moves off the
 strip's own ``LayerOp``s.  A :class:`BoundaryTransform` stores
 the move, not its 2m x 2m matrix; applying the moves in turn continues
-u across the whole filtration with O(1) arithmetic per extension.
+u across the whole filtration.  Every route runs the moves through one
+runner, in place on Python ints: over Z/n on residues, over Q on
+numerators over one common denominator D.  An extension costs O(1) int
+operations, plus an O(m) rescale of the vector and D when a coefficient
+is not an integer (never on integral networks with spike weights
++-1).  Values are lifted back to Fraction or Mod once, at the end.
 ``.matrix`` and ``ContinuationPlan.total_matrix`` derive the dense
 matrices from the moves, for checking that they are symplectic.
 
@@ -26,10 +31,14 @@ the whole graph would.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .exact_algebra import (
     ExactMatrix,
+    Mod,
     _inverse,
+    _residue,
     kernel_QmodZ_torsion,
     kernel_mod_n,
 )
@@ -67,36 +76,206 @@ class BoundaryTransform:
 
     def apply(self, data):
         """The moved copy of the boundary data ``data``."""
-        out = list(data)
-        m = self.m
-        move = self.kind
-        if move[0] == "initial":
-            for i, d in enumerate(move[1]):
-                out[m + i] += d * out[i]
-        elif move[0] == "spike":
-            _, j, w, d = move
-            k = j - 1
-            out[k] += out[m + k] * _inverse(w)
-            out[m + k] += d * out[k]
-        else:
-            _, i, j, w = move
-            a, b = i - 1, j - 1
-            f = w * (out[a] - out[b])
-            out[m + a] += f
-            out[m + b] -= f
-        return out
+        return _push((self,), self.m, [data], {1: range(len(data))})[0]
 
     @property
     def matrix(self):
         """The 2m x 2m matrix of the move (columns: images of e_k)."""
-        return _matrix_of(self.apply, 2 * self.m)
+        return _matrix_of((self,), self.m, 2 * self.m, range(2 * self.m))
 
 
-def _matrix_of(move, n):
-    """The n x n matrix whose k-th column is ``move(e_k)``, e_k the k-th
-    unit vector of length n."""
-    columns = [move([int(i == k) for i in range(n)]) for k in range(n)]
-    return ExactMatrix([[c[r] for c in columns] for r in range(n)])
+def _matrix_of(transforms, m, count, rows):
+    """The matrix whose k-th column, for k < ``count``, is the entries
+    ``rows`` of the unit vector e_k of length 2m moved through
+    ``transforms``."""
+    size = 2 * m
+    units = [[int(i == k) for i in range(size)] for k in range(count)]
+    columns = _push(transforms, m, units, {len(transforms): rows})
+    return ExactMatrix([[c[i] for c in columns] for i in range(len(rows))])
+
+
+# the kinds of lowered move, and the types of the values they run on
+_INITIAL, _SPIKE, _EDGE = range(3)
+_RING_TYPES = frozenset({int, Fraction, Mod})
+
+
+def _push(transforms, m, columns, picks):
+    """Move each column of boundary data through ``transforms`` and
+    return, per column, the entries that ``picks`` names: ``picks[k]``
+    lists the rows read after the first k moves.
+
+    The moves run in place on Python ints.  Over Z/n (some entry is a
+    Mod) the entries and coefficients are residues.  Over Q the entries
+    are numerators over one denominator D, and a coefficient with
+    denominator q > 1 first scales the vector and D by q.  The values
+    are lifted back once: to Mods over Z/n; over Q to Fractions, or to
+    ints when Fraction arithmetic would make no picked entry a
+    Fraction."""
+    n, D, vectors, fractions = _lower_data(columns)
+    moves, typed = _lower_moves(transforms, n)
+    first = picks.get(0, ())
+    after = [picks.get(step) for step in range(1, len(moves) + 1)]
+    picked = [_run(moves, m, v, n, D, first, after) for v in vectors]
+    if n:
+        return [[Mod(x, n) for x, _ in col] for col in picked]
+    if (typed or fractions) and any(
+        _fraction_picked(transforms, m, col, picks) for col in columns
+    ):
+        return [[Fraction(x, d) for x, d in col] for col in picked]
+    return [[x // d for x, d in col] for col in picked]
+
+
+def _lower_data(columns):
+    """``(n, D, vectors, fractions)``: the columns as int vectors over
+    one ring, and whether an entry is other than an int.  Over Z/n (n
+    the modulus of the Mod entries) they are residues and D = 1; over Q
+    (n None) they are numerators over D, the lcm of every
+    denominator."""
+    entries = [x for col in columns for x in col]
+    types = set(map(type, entries))
+    if types <= {int}:
+        return None, 1, [list(col) for col in columns], False
+    for t in types - _RING_TYPES:
+        if not issubclass(t, (int, Fraction, Mod)):
+            bad = next(x for x in entries if type(x) is t)
+            raise TypeError(f"not an exact scalar: {bad!r}")
+    moduli = {x.modulus for x in entries if isinstance(x, Mod)}
+    if len(moduli) > 1:
+        raise ValueError("modulus mismatch")
+    if moduli:
+        n = moduli.pop()
+        return n, 1, [
+            [x.value if isinstance(x, Mod)
+             else _residue(x.numerator, x.denominator, n) % n for x in col]
+            for col in columns
+        ], True
+    D = lcm(*(x.denominator for x in entries))
+    return None, D, [
+        [x.numerator * (D // x.denominator) for x in col] for col in columns
+    ], True
+
+
+def _lower_moves(transforms, n):
+    """``(moves, typed)``: the moves with int coefficients, and whether
+    any coefficient is a Fraction.  A coefficient is a pair (p, q): over
+    Q its numerator and denominator, over Z/n (n not None) its residue
+    and 1.  The initial move's offsets share the lcm L of their
+    denominators, as p L / q."""
+    moves = []
+    typed = False
+    for T in transforms:
+        move = T.kind
+        if move[0] == "spike":
+            _, j, w, d = move
+            p, q = w.denominator, w.numerator  # 1/w
+            if q < 0:
+                p, q = -p, -q
+            p2, q2 = d.numerator, d.denominator
+            typed = (typed or q != 1 or type(w) is not int
+                     or type(d) is not int)
+            if n:
+                p, q = _residue(p, q, n) % n, 1
+                p2, q2 = _residue(p2, q2, n) % n, 1
+            moves.append((_SPIKE, j - 1, p, q, p2, q2))
+        elif move[0] == "edge":
+            _, i, j, w = move
+            p, q = w.numerator, w.denominator
+            typed = typed or type(w) is not int
+            if n:
+                p, q = _residue(p, q, n) % n, 1
+            moves.append((_EDGE, i - 1, j - 1, p, q))
+        else:
+            ds = move[1]
+            typed = typed or any(type(d) is not int for d in ds)
+            terms = [(i, d.numerator, d.denominator)
+                     for i, d in enumerate(ds) if d]
+            if n:
+                terms = [(i, _residue(p, q, n) % n, 1) for i, p, q in terms]
+            L = lcm(*(q for _, _, q in terms))
+            terms = [(i, p * (L // q)) for i, p, q in terms]
+            moves.append((_INITIAL, L, terms))
+    return moves, typed
+
+
+def _run(moves, m, v, n, D, first, after):
+    """Run the lowered moves on the int vector ``v`` in place, over Z/n
+    (n not None) or over Q with common denominator ``D``.  Returns as
+    (numerator, denominator) pairs the entries at rows ``first`` before
+    any move, then those at rows ``after[k]`` (if any) after move k."""
+    out = [(v[r], D) for r in first]
+    for move, rows in zip(moves, after):
+        kind = move[0]
+        if kind == _SPIKE:
+            _, k, p, q, p2, q2 = move
+            y = m + k
+            x = v[y]
+            if q != 1:
+                v[:] = [q * e for e in v]
+                D *= q
+            x = v[k] + p * x
+            v[k] = x = x % n if n else x
+            if q2 != 1:
+                v[:] = [q2 * e for e in v]
+                D *= q2
+            x = v[y] + p2 * x
+            v[y] = x % n if n else x
+        elif kind == _EDGE:
+            _, a, b, p, q = move
+            f = p * (v[a] - v[b])
+            if q != 1:
+                v[:] = [q * e for e in v]
+                D *= q
+            a, b = m + a, m + b
+            if n:
+                v[a] = (v[a] + f) % n
+                v[b] = (v[b] - f) % n
+            else:
+                v[a] += f
+                v[b] -= f
+        else:
+            _, L, terms = move
+            if L != 1:
+                xs = v[:m]
+                v[:] = [L * e for e in v]
+                D *= L
+            else:
+                xs = v
+            for i, c in terms:
+                x = v[m + i] + c * xs[i]
+                v[m + i] = x % n if n else x
+        if rows:
+            for r in rows:
+                out.append((v[r], D))
+    return out
+
+
+def _fraction_picked(transforms, m, data, picks):
+    """Whether Fraction arithmetic on ``data`` would make a picked entry
+    a Fraction: an entry that a move writes becomes one when an operand
+    or a coefficient of the move is one."""
+    flags = [isinstance(x, Fraction) for x in data]
+    if any(flags[r] for r in picks.get(0, ())):
+        return True
+    for step, T in enumerate(transforms, 1):
+        move = T.kind
+        if move[0] == "spike":
+            _, j, w, d = move
+            k, y = j - 1, m + j - 1
+            inverse = _inverse(w)
+            flags[k] = flags[k] or flags[y] or isinstance(inverse, Fraction)
+            flags[y] = flags[y] or flags[k] or isinstance(d, Fraction)
+        elif move[0] == "edge":
+            _, i, j, w = move
+            f = flags[i - 1] or flags[j - 1] or isinstance(w, Fraction)
+            flags[m + i - 1] = flags[m + i - 1] or f
+            flags[m + j - 1] = flags[m + j - 1] or f
+        else:
+            for i, d in enumerate(move[1]):
+                f = flags[i] or isinstance(d, Fraction)
+                flags[m + i] = flags[m + i] or f
+        if any(flags[r] for r in picks.get(step, ())):
+            return True
+    return False
 
 
 def symplectic_form(m):
@@ -164,12 +343,12 @@ class ContinuationPlan:
     def apply(self, data):
         """Boundary data ``data`` of the smallest stage moved through
         every transform."""
-        for T in self.transforms:
-            data = T.apply(data)
-        return data
+        picks = {len(self.transforms): range(len(data))}
+        return _push(self.transforms, self.m, [data], picks)[0]
 
     def total_matrix(self):
-        return _matrix_of(self.apply, 2 * self.m)
+        return _matrix_of(self.transforms, self.m, 2 * self.m,
+                          range(2 * self.m))
 
 
 def _build_plan(N, initial_labels, ops):
@@ -235,14 +414,17 @@ def continue_harmonic(plan, phi):
     m = plan.m
     if len(phi) != m:
         raise ValueError("need one value per initial label")
-    data = list(phi) + [0 * v for v in phi]
-    values = dict(zip(plan.initial_labels, phi))
-    for T, record in zip(plan.transforms, plan.records):
-        data = T.apply(data)
+    # the initial labels keep phi; each recorded vertex takes x_j as it
+    # first appears
+    vertices = list(plan.initial_labels)
+    picks = {0: range(m)}
+    for step, record in enumerate(plan.records, 1):
         if record is not None:
             vertex, j = record
-            values[vertex] = data[j - 1]
-    u = VertexFunction(values)
+            vertices.append(vertex)
+            picks[step] = (j - 1,)
+    [values] = _push(plan.transforms, m, [list(phi) + [0] * m], picks)
+    u = VertexFunction(zip(vertices, values))
     if not is_harmonic(plan.network, u):
         raise AssertionError("continuation failed harmonicity check")
     return u
@@ -256,10 +438,7 @@ def u0_matrix_A(N, S):
     are pushed through the moves."""
     plan = complementary_plan(N, S)
     m = plan.m
-    columns = [
-        plan.apply([int(i == k) for i in range(2 * m)]) for k in range(len(S))
-    ]
-    return ExactMatrix([[c[r] for c in columns] for r in range(m, 2 * m)])
+    return _matrix_of(plan.transforms, m, len(S), range(m, 2 * m))
 
 
 def integer_u0_matrix(N, S):

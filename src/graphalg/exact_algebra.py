@@ -30,6 +30,13 @@ from functools import cache
 from math import gcd
 
 
+def _residue(p, q, n):
+    """The int standing for p/q in Z/n, not reduced; ``pow`` raises
+    ValueError when q is not prime to n.  The one rule by which Mod
+    arithmetic and the continuation moves map Q into Z/n."""
+    return p if q == 1 else p * pow(q, -1, n)
+
+
 class Mod:
     """A residue in Z/n, stored in canonical range [0, n)."""
 
@@ -39,17 +46,17 @@ class Mod:
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
         self.modulus = modulus
-        self.value = self._coerce(value) % modulus
+        if type(value) is not int:
+            value = self._coerce(value)
+        self.value = value % modulus
 
     def _coerce(self, other):
         if isinstance(other, Mod):
             if other.modulus != self.modulus:
                 raise ValueError("modulus mismatch")
             return other.value
-        if isinstance(other, int):
-            return other
-        if isinstance(other, Fraction):
-            return other.numerator * pow(other.denominator, -1, self.modulus)
+        if isinstance(other, (int, Fraction)):
+            return _residue(other.numerator, other.denominator, self.modulus)
         return NotImplemented
 
     def __add__(self, other):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .exact_algebra import (
@@ -213,6 +213,12 @@ def interior_rows(N):
     Raises ValueError when a weight or offset is not an integer."""
     if not N.is_integral():
         raise ValueError("integer weights required")
+    return _scaled_interior_rows(N)
+
+
+def _scaled_interior_rows(N):
+    """:func:`interior_rows` of s L, s the lcm of the denominators of
+    the weights and offsets (``N._laplacian``)."""
     column = {v: j for j, v in enumerate(N.graph.interior)}
     return [
         {column[y]: a for y, a in row.items() if y in column}
@@ -250,9 +256,32 @@ def apply_L(N, u):
 
 
 def is_harmonic(N, u):
-    """Lu vanishes at every interior vertex."""
+    """Lu vanishes at every interior vertex.  Values in Q are checked as
+    the ints U = D u, D the lcm of their denominators, on the rows of
+    s L (``N._laplacian``); values in Z/n, when s is a unit mod n, as
+    residues; any other values through :func:`_L_at`."""
     uv = _total_value_map(N, u)
-    return all(_is_zero(_L_at(N, uv, x)) for x in N.graph.interior)
+    rows, s = N._laplacian
+    types = set(map(type, uv.values()))
+    n = None
+    if types <= {int}:
+        U = uv
+    elif types <= _EXACT_TYPES:
+        D = lcm(*(x.denominator for x in uv.values()))
+        U = {v: x.numerator * (D // x.denominator) for v, x in uv.items()}
+    else:
+        moduli = {x.modulus for x in uv.values()} if types == {Mod} else set()
+        n = moduli.pop() if len(moduli) == 1 else None
+        if n is None or gcd(s, n) != 1:
+            return all(_is_zero(_L_at(N, uv, x)) for x in N.graph.interior)
+        U = {v: x.value for v, x in uv.items()}
+    for x in N.graph.interior:
+        acc = 0
+        for y, a in rows[x].items():
+            acc += a * U[y]
+        if acc % n if n else acc:
+            return False
+    return True
 
 
 def in_U0(N, u):
@@ -275,9 +304,14 @@ def is_nondegenerate(N):
 
 
 def U0_mod_n(N, n):
-    """Decomposition of U0(G, L, Z/n)."""
-    diagonal, _ = interior_smith(N)
-    return kernel_mod_n_from_snf(diagonal, len(N.graph.interior), n)
+    """Decomposition of U0(G, L, Z/n).  On a network with denominators,
+    of lcm s, every weight and offset has a residue mod n exactly when
+    s is a unit mod n, and then s L has the same kernel as L."""
+    if n > 1 and gcd(N._laplacian[1], n) > 1:
+        raise ValueError(f"some weight or offset has no residue mod {n}")
+    cols = len(N.graph.interior)
+    diagonal, _ = _smith_rows(_scaled_interior_rows(N), cols)
+    return kernel_mod_n_from_snf(diagonal, cols, n)
 
 
 def U0_QmodZ(N):

@@ -115,36 +115,32 @@ def _augmented_rotation(EG):
     return rmap
 
 
-def _aug_rev(dart):
-    if _is_arc(dart):
-        _, i, s = dart
-        return (ARC, i, -s)
-    return rev(dart)
-
-
 def _trace_all_faces(EG):
     """All faces of the augmented map, each as the cyclic dart sequence
     having the face on its right, including the outside-the-circle
-    trace."""
+    trace.  Walks start at the darts in rotation order."""
     rmap = _augmented_rotation(EG)
     succ = {}
     for v, darts in rmap.items():
         for i, d in enumerate(darts):
             succ[d] = darts[(i + 1) % len(darts)]
+    # a walk steps from each dart to the successor of its reversal; the
+    # steps form a permutation, and each walk consumes its cycle
+    step = {}
+    for e in EG.graph.edge_ids:
+        step[(e, 1)], step[(e, -1)] = succ[(e, -1)], succ[(e, 1)]
+    for i in range(len(EG.boundary_order)):
+        step[(ARC, i, 1)], step[(ARC, i, -1)] = (
+            succ[(ARC, i, -1)], succ[(ARC, i, 1)])
     faces = []
-    seen = set()
     for start in succ:
-        if start in seen:
-            continue
         face = []
         d = start
-        while True:
+        while d in step:
             face.append(d)
-            seen.add(d)
-            d = succ[_aug_rev(d)]
-            if d == start:
-                break
-        faces.append(tuple(face))
+            d = step.pop(d)
+        if face:
+            faces.append(tuple(face))
     return faces
 
 

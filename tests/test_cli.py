@@ -195,6 +195,19 @@ class TestCommands:
         assert main(["u0", "--mod", "4", str(p)]) == 0
         assert "Z/2 + Z/2" in capsys.readouterr().out
 
+    def test_u0_mod_n_on_a_rational_path(self, tmp_path, capsys):
+        p = tmp_path / "path.doc"
+        p.write_text(
+            "vertex 0 boundary\nvertex 1 interior\nvertex 2 interior\n"
+            "vertex 3 boundary\nedge 0 0 1 w=1/2\nedge 1 1 2 w=3\n"
+            "edge 2 2 3 w=1\n"
+        )
+        assert main(["u0", "--mod", "5", str(p)]) == 0
+        assert capsys.readouterr().out == "U0 over Z/5: 0\n"
+        assert main(["u0", "--mod", "6", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: some weight or offset has no residue mod 6\n"
+
     def test_layerable_and_flower(self, triangle_file, capsys):
         assert main(["layerable", triangle_file]) == 0
         assert "layerable: yes" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 continuation."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,13 @@ from graphalg.continuation import (
     u0_mod_n_via_continuation,
     u0_via_continuation,
 )
-from graphalg.exact_algebra import ExactMatrix, Mod, ModuleDecomposition, snf
+from graphalg.exact_algebra import (
+    ExactMatrix,
+    Mod,
+    ModuleDecomposition,
+    _inverse,
+    snf,
+)
 from graphalg.families import clf, complete_graph, cube, wheel
 from graphalg.layering import (
     EDGE_DEL,
@@ -508,3 +515,273 @@ class TestBounds:
         assert multiplicity_bound_check(N, range(3), 4)
         with pytest.raises(ValueError):
             multiplicity_bound_check(N, [0], 4)
+
+
+# -- the int runner against Fraction and Mod arithmetic -----------------
+
+
+def reference_apply(T, data):
+    """A move on the data's own objects (int, Fraction or Mod), one
+    copy of the vector per move: the arithmetic the int runner
+    replaces."""
+    out = list(data)
+    m = T.m
+    move = T.kind
+    if move[0] == "initial":
+        for i, d in enumerate(move[1]):
+            out[m + i] += d * out[i]
+    elif move[0] == "spike":
+        _, j, w, d = move
+        k = j - 1
+        out[k] += out[m + k] * _inverse(w)
+        out[m + k] += d * out[k]
+    else:
+        _, i, j, w = move
+        a, b = i - 1, j - 1
+        f = w * (out[a] - out[b])
+        out[m + a] += f
+        out[m + b] -= f
+    return out
+
+
+def reference_continue(plan, phi):
+    """continue_harmonic's values by :func:`reference_apply`, unchecked."""
+    m = plan.m
+    data = list(phi) + [0 * v for v in phi]
+    values = dict(zip(plan.initial_labels, phi))
+    for T, record in zip(plan.transforms, plan.records):
+        data = reference_apply(T, data)
+        if record is not None:
+            vertex, j = record
+            values[vertex] = data[j - 1]
+    return values
+
+
+def reference_matrix(transforms, m, count, rows):
+    """Rows ``rows`` of the unit vectors e_0..e_(count-1) moved by
+    :func:`reference_apply`, as the columns of a grid."""
+    columns = []
+    for k in range(count):
+        data = [int(i == k) for i in range(2 * m)]
+        for T in transforms:
+            data = reference_apply(T, data)
+        columns.append([data[r] for r in rows])
+    return [[c[i] for c in columns] for i in range(len(rows))]
+
+
+NOT_INVERTIBLE = "base is not invertible for the given modulus"
+
+
+def lacks_residue(transforms, n):
+    """Whether a coefficient of the moves (an offset d, a weight w or
+    1/w) has a denominator not prime to n."""
+    denominators = []
+    for T in transforms:
+        move = T.kind
+        if move[0] == "initial":
+            denominators += [d.denominator for d in move[1]]
+        elif move[0] == "spike":
+            _, _, w, d = move
+            denominators += [abs(w.numerator), d.denominator]
+        else:
+            denominators.append(move[3].denominator)
+    return any(gcd(q, n) > 1 for q in denominators)
+
+
+def assert_runner_matches(run, reference, n=None):
+    """``run()`` returns the values of ``reference()``, all of one type:
+    the reference's type where its values share one, and Mod over Z/n
+    (n not None), where the reference's values are read in Z/n."""
+    want = reference()
+    if n is not None:
+        want = [Mod(x, n) for x in want]
+    got = run()
+    assert got == want
+    got_types = {type(x) for x in got}
+    want_types = {type(x) for x in (reference() if n is None else want)}
+    assert len(got_types) <= 1
+    if len(want_types) == 1:
+        assert got_types == want_types
+
+
+any_weights = weights | st.integers(2, 5) | st.sampled_from([1, -1])
+any_offsets = offsets | st.just(0)
+
+
+@st.composite
+def any_moves(draw):
+    """A random move on 1..5 labels with Fraction, int (2..5) or unit
+    weights and Fraction or int offsets."""
+    m = draw(st.integers(1, 5))
+    index = st.integers(1, m)
+    kind = draw(st.sampled_from(["initial", "spike", "edge"]))
+    if kind == "initial" or m == 1 and kind == "edge":
+        d = draw(st.lists(any_offsets, min_size=m, max_size=m))
+        return initial_transform(d)
+    if kind == "spike":
+        return spike_transform(m, draw(index), draw(any_weights),
+                               draw(any_offsets))
+    i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+    return edge_transform(m, i, j, draw(any_weights))
+
+
+@st.composite
+def ring_data(draw, size):
+    """(values, n): ``size`` values of one kind: ints, Fractions, ints
+    mixed with Fractions (n None), or Mods, or ints mixed with Mods, of
+    one modulus n in {7, 12, 101}."""
+    kind = draw(st.sampled_from(["int", "fraction", "int+fraction", "mod",
+                                 "int+mod"]))
+    ints = st.integers(-9, 9)
+    fractions = st.fractions(-9, 9, max_denominator=6)
+    if kind == "int":
+        return draw(st.lists(ints, min_size=size, max_size=size)), None
+    if kind == "fraction":
+        return draw(st.lists(fractions, min_size=size, max_size=size)), None
+    if kind == "int+fraction":
+        return draw(st.lists(ints | fractions, min_size=size,
+                             max_size=size)), None
+    n = draw(st.sampled_from([7, 12, 101]))
+    mods = st.builds(Mod, st.integers(0, n - 1), st.just(n))
+    values = draw(st.lists(mods if kind == "mod" else ints | mods,
+                           min_size=size, max_size=size))
+    if not values:
+        return values, None
+    if not any(isinstance(x, Mod) for x in values):
+        values[0] = Mod(values[0], n)
+    return values, n
+
+
+def runner_case(transforms, run, reference, n):
+    """Check ``run`` against ``reference`` over Q, or over Z/n, where a
+    coefficient with no residue mod n must make ``run`` raise the
+    reference's error (which Mod data alone always meets)."""
+    if n is not None and lacks_residue(transforms, n):
+        with pytest.raises(ValueError, match=NOT_INVERTIBLE):
+            run()
+        return False
+    assert_runner_matches(run, reference, n)
+    return True
+
+
+class TestIntRunner:
+    """The moves on ints equal the moves on int, Fraction and Mod
+    objects (``reference_apply``), with the types that rule gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_moves(), st.data())
+    def test_apply(self, T, data):
+        values, n = data.draw(ring_data(2 * T.m))
+        if not runner_case([T], lambda: T.apply(values),
+                           lambda: reference_apply(T, values), n):
+            if all(isinstance(x, Mod) for x in values):
+                with pytest.raises(ValueError, match=NOT_INVERTIBLE):
+                    reference_apply(T, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_moves())
+    def test_matrix(self, T):
+        size = 2 * T.m
+        want = reference_matrix([T], T.m, size, range(size))
+        assert_runner_matches(
+            lambda: [x for row in T.matrix.data for x in row],
+            lambda: [x for row in want for x in row],
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(layerable_networks(), st.data())
+    def test_continue_harmonic(self, N, data):
+        N = with_weights(data, N.graph)
+        plan = continuation_plan(N)
+        phi, n = data.draw(ring_data(plan.m))
+        vertices = N.graph.vertices
+
+        def run():
+            u = continue_harmonic(plan, phi)
+            return [u(v) for v in vertices]
+
+        def reference():
+            values = reference_continue(plan, phi)
+            return [values[v] for v in vertices]
+
+        try:
+            runner_case(plan.transforms, run, reference, n)
+        except ValueError as exc:
+            # Z/n data on a network whose denominators share a factor
+            # with n: the harmonicity check raises as it always did
+            assert str(exc) == NOT_INVERTIBLE
+            assert gcd(N._laplacian[1], n) > 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(networks_with_layering_sets(), st.data())
+    def test_kernel_and_total_matrices(self, case, data):
+        N, S = case
+        N = with_weights(data, N.graph)
+        plan = complementary_plan(N, S)
+        m = plan.m
+        want = reference_matrix(plan.transforms, m, 2 * m, range(2 * m))
+        assert_runner_matches(
+            lambda: [x for row in plan.total_matrix().data for x in row],
+            lambda: [x for row in want for x in row],
+        )
+        want = reference_matrix(plan.transforms, m, len(S), range(m, 2 * m))
+        assert_runner_matches(
+            lambda: [x for row in u0_matrix_A(N, S).data for x in row],
+            lambda: [x for row in want for x in row],
+        )
+
+    def test_spike_weight_not_prime_to_n(self):
+        G = PartialGraph(range(2), {1}, {0: (0, 1)})
+        plan = continuation_plan(Network(G, {0: 2}))
+        for phi in ([Mod(1, 12)], [Mod(3, 12)]):
+            with pytest.raises(ValueError, match=NOT_INVERTIBLE):
+                continue_harmonic(plan, phi)
+        assert continue_harmonic(plan, [Mod(1, 7)]).vmap == {
+            0: Mod(1, 7), 1: Mod(1, 7)}
+
+    def test_moduli_mismatch_raises_up_front(self):
+        # the two labels never meet, so Mod arithmetic would not notice
+        T = initial_transform([0, 0])
+        data = [Mod(1, 7), Mod(1, 11), Mod(0, 7), Mod(0, 11)]
+        assert reference_apply(T, data) == data
+        with pytest.raises(ValueError, match="^modulus mismatch$"):
+            T.apply(data)
+        G = PartialGraph(range(2), {0, 1}, {})
+        plan = continuation_plan(Network(G, {}))
+        with pytest.raises(ValueError, match="^modulus mismatch$"):
+            continue_harmonic(plan, [Mod(1, 7), Mod(1, 11)])
+
+    def test_non_integral_coefficient_rescales(self):
+        # path 0 - 1 - 2 with boundary {2}: 1/w = 1/2 and the offset 1/3
+        # are the only denominators, so D ends at 6
+        G = PartialGraph(range(3), {2}, {0: (0, 1), 1: (1, 2)})
+        N = Network(G, {0: 2, 1: 1}, {1: Fraction(1, 3)})
+        plan = continuation_plan(N)
+        u = continue_harmonic(plan, [1])
+        assert u.vmap == reference_continue(plan, [1])
+        assert {type(x) for x in u.vmap.values()} == {Fraction}
+
+    def test_dead_end_fraction_keeps_int_values(self):
+        # the offset 1/2 of the last vertex reaches no recorded value, so
+        # Fraction arithmetic leaves every value an int
+        G = PartialGraph(range(2), {1}, {0: (0, 1)})
+        N = Network(G, {0: 1}, {1: Fraction(1, 2)})
+        plan = continuation_plan(N)
+        u = continue_harmonic(plan, [3])
+        assert u.vmap == reference_continue(plan, [3]) == {0: 3, 1: 3}
+        assert {type(x) for x in u.vmap.values()} == {int}
+
+    def test_floats_rejected(self):
+        T = initial_transform([1])
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            T.apply([0.5, 0])
+
+
+def with_weights(data, G):
+    """A network on G with drawn weights (Fraction, 2..5 or +-1) and
+    offsets (Fraction or int)."""
+    return Network(
+        G,
+        {e: data.draw(any_weights) for e in G.edge_ids},
+        {v: data.draw(any_offsets) for v in G.vertices},
+    )

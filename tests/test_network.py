@@ -2,6 +2,7 @@
 
 from enum import IntEnum
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,8 @@ from graphalg.network import (
     apply_L,
     in_U0,
     interior_block,
+    _L_at,
+    _is_zero,
     interior_rows,
     is_harmonic,
     is_nondegenerate,
@@ -330,8 +333,10 @@ class TestSparseRoute:
         N = Network(G, {0: Fraction(1, 2), 1: 1})
         with pytest.raises(ValueError, match="integer weights required"):
             interior_rows(N)
-        with pytest.raises(ValueError, match="integer weights required"):
-            U0_mod_n(N, 3)
+        # U0 over Z/n reads s L (s = 2 here) when s is a unit mod n
+        assert U0_mod_n(N, 3) == U0_mod_n(Network(G, {0: 1, 1: 2}), 3)
+        with pytest.raises(ValueError, match="no residue mod 4"):
+            U0_mod_n(N, 4)
 
     @settings(max_examples=100, deadline=None)
     @given(integer_networks(), st.integers(2, 12))
@@ -395,3 +400,110 @@ class TestFunctoriality:
         bad = VertexFunction({v: Fraction(v) for v in G.vertices})
         with pytest.raises(ValueError):
             pullback_harmonic(f, N1, N2, bad)
+
+
+@st.composite
+def small_rational_networks(draw):
+    """A network on 1-5 vertices with at most 3 interior ones and weights
+    and offsets in Q, some with denominators 2 or 3."""
+    nv = draw(st.integers(1, 5))
+    vertex = st.integers(0, nv - 1)
+    ends = draw(
+        st.lists(
+            st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+            max_size=2 * nv if nv > 1 else 0,
+        )
+    )
+    scalar = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    weights = draw(
+        st.lists(scalar.filter(bool), min_size=len(ends), max_size=len(ends))
+    )
+    offsets = draw(st.lists(scalar, min_size=nv, max_size=nv))
+    boundary = draw(st.sets(vertex, min_size=max(0, nv - 3), max_size=nv))
+    G = PartialGraph(range(nv), boundary, dict(enumerate(ends)))
+    return Network(G, dict(enumerate(weights)), dict(enumerate(offsets)))
+
+
+class TestRationalNetworks:
+    @settings(max_examples=80, deadline=None)
+    @given(small_rational_networks(), st.integers(2, 6))
+    def test_U0_mod_n_matches_brute_force(self, N, n):
+        s = N._laplacian[1]
+        if gcd(s, n) > 1:
+            with pytest.raises(ValueError, match=f"no residue mod {n}$"):
+                U0_mod_n(N, n)
+        else:
+            got = U0_mod_n(N, n).torsion_order
+            assert got == len(u0_brute_force_mod_n(N, n))
+
+    def test_path_with_a_half_weight(self):
+        G = PartialGraph(range(4), {0, 3}, {0: (0, 1), 1: (1, 2), 2: (2, 3)})
+        N = Network(G, {0: Fraction(1, 2), 1: 3, 2: 1}, {1: -3, 2: -4})
+        for n in (5, 7, 11):
+            assert U0_mod_n(N, n).torsion_order == len(
+                u0_brute_force_mod_n(N, n))
+        for n in (2, 6):
+            with pytest.raises(ValueError, match="no residue mod"):
+                U0_mod_n(N, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(integer_networks(), integer_networks(RATIONAL_SCALARS)),
+        st.sampled_from([None, 2, 5, 6, 7, 12]),
+        st.data(),
+    )
+    def test_is_harmonic_matches_L_at(self, N, n, data):
+        """On s > 1 and gcd(s, n) of 1 or more, and on values that are
+        mostly not harmonic: the int check answers as Lu's own entries,
+        and raises as they do."""
+        V = N.graph.vertices
+        values = st.integers(-2, 2) if n else (
+            st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3))
+        u = {v: data.draw(values) for v in V}
+        if n:
+            u = {v: Mod(x, n) for v, x in u.items()}
+
+        def by_L_at():
+            return all(_is_zero(_L_at(N, u, x)) for x in N.graph.interior)
+
+        try:
+            want = by_L_at()
+        except ValueError as exc:
+            assert gcd(N._laplacian[1], n) > 1
+            with pytest.raises(ValueError, match=str(exc)):
+                is_harmonic(N, u)
+            return
+        assert is_harmonic(N, u) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_networks(RATIONAL_SCALARS), st.data())
+    def test_is_harmonic_on_a_perturbed_constant(self, N, data):
+        """With zero offsets a constant is harmonic; adding 1/2 at one
+        interior vertex x makes Lu(x) half the weight sum at x, and the
+        neighbors' Lu minus half their weights to x."""
+        G = N.graph
+        N = Network(G, dict(N.weights))
+        c = data.draw(st.fractions(-3, 3, max_denominator=4))
+        u = {v: c for v in G.vertices}
+        assert is_harmonic(N, u)
+        assert is_harmonic(N, {v: Mod(c, 7) for v in G.vertices})
+        if not G.interior:
+            return
+        x = data.draw(st.sampled_from(G.interior))
+        u[x] += Fraction(1, 2)
+        want = all(_is_zero(_L_at(N, u, y)) for y in G.interior)
+        assert is_harmonic(N, u) == want
+        if sum(w for e, w in N.weights if x in G.edge_dict[e]):
+            assert not want
+
+    def test_known_harmonic_and_not(self):
+        # L on path 0 - 1 - 2 with weights 1/2, 1/3: u(1) = (3 u0 + 2 u2)/5
+        N = Network(path3(), {0: Fraction(1, 2), 1: Fraction(1, 3)})
+        assert N._laplacian[1] == 6
+        u = {0: 0, 1: Fraction(2, 5), 2: 1}
+        assert is_harmonic(N, u)
+        assert not is_harmonic(N, {**u, 1: Fraction(1, 2)})
+        assert is_harmonic(N, {v: Mod(x, 7) for v, x in u.items()})
+        assert not is_harmonic(N, {0: Mod(0, 7), 1: Mod(1, 7), 2: Mod(1, 7)})
+        with pytest.raises(ValueError, match="not invertible"):
+            is_harmonic(N, {v: Mod(x, 12) for v, x in u.items()})

@@ -93,7 +93,41 @@ def count_face_walks(monkeypatch):
     return walks
 
 
+def reference_faces(EG):
+    """The face walks, one dart at a time: each step reverses the dart
+    and takes its successor in the rotation."""
+    rmap = planar._augmented_rotation(EG)
+    succ = {}
+    for darts in rmap.values():
+        for i, d in enumerate(darts):
+            succ[d] = darts[(i + 1) % len(darts)]
+    faces = []
+    seen = set()
+    for start in succ:
+        if start in seen:
+            continue
+        face = []
+        d = start
+        while True:
+            face.append(d)
+            seen.add(d)
+            d = succ[d[:-1] + (-d[-1],)]
+            if d == start:
+                break
+        faces.append(tuple(face))
+    return faces
+
+
 class TestFaceWalks:
+    @pytest.mark.parametrize("n", [3, 4, 7, 12])
+    def test_walks_match_reference(self, n):
+        for EW in (wheel(n), wheel(n, hub_boundary=True)):
+            assert planar._trace_all_faces(EW) == reference_faces(EW)
+        D = dual(Network.standard(EW.graph), EW).embedded
+        assert planar._trace_all_faces(D) == reference_faces(D)
+        EG = embedded_triangle()
+        assert planar._trace_all_faces(EG) == reference_faces(EG)
+
     def test_validate_then_trace_walks_once(self, monkeypatch):
         walks = count_face_walks(monkeypatch)
         EG = embedded_triangle()
