@@ -120,26 +120,33 @@ def _trace_all_faces(EG):
     having the face on its right, including the outside-the-circle
     trace.  Walks start at the darts in rotation order."""
     rmap = _augmented_rotation(EG)
-    succ = {}
-    for v, darts in rmap.items():
-        for i, d in enumerate(darts):
-            succ[d] = darts[(i + 1) % len(darts)]
-    # a walk steps from each dart to the successor of its reversal; the
-    # steps form a permutation, and each walk consumes its cycle
-    step = {}
+    darts = [d for ds in rmap.values() for d in ds]
+    index = {d: i for i, d in enumerate(darts)}
+    # after[i]: the dart that follows darts[i] in its vertex's rotation
+    after = []
+    for ds in rmap.values():
+        if ds:
+            k = len(after)
+            after += range(k + 1, k + len(ds))
+            after.append(k)
+    # a walk steps from each dart to the one after its reversal
+    step = [0] * len(darts)
     for e in EG.graph.edge_ids:
-        step[(e, 1)], step[(e, -1)] = succ[(e, -1)], succ[(e, 1)]
+        a, b = index[(e, 1)], index[(e, -1)]
+        step[a], step[b] = after[b], after[a]
     for i in range(len(EG.boundary_order)):
-        step[(ARC, i, 1)], step[(ARC, i, -1)] = (
-            succ[(ARC, i, -1)], succ[(ARC, i, 1)])
+        a, b = index[(ARC, i, 1)], index[(ARC, i, -1)]
+        step[a], step[b] = after[b], after[a]
     faces = []
-    for start in succ:
-        face = []
-        d = start
-        while d in step:
-            face.append(d)
-            d = step.pop(d)
-        if face:
+    todo = [True] * len(darts)
+    for start in range(len(darts)):
+        if todo[start]:
+            face = []
+            i = start
+            while todo[i]:
+                todo[i] = False
+                face.append(darts[i])
+                i = step[i]
             faces.append(tuple(face))
     return faces
 

@@ -125,8 +125,11 @@ class TestFaceWalks:
             assert planar._trace_all_faces(EW) == reference_faces(EW)
         D = dual(Network.standard(EW.graph), EW).embedded
         assert planar._trace_all_faces(D) == reference_faces(D)
-        EG = embedded_triangle()
-        assert planar._trace_all_faces(EG) == reference_faces(EG)
+        for EG in (
+            embedded_triangle(),
+            EmbeddedPartialGraph(PartialGraph([0], (), {}), {0: ()}, ()),
+        ):
+            assert planar._trace_all_faces(EG) == reference_faces(EG)
 
     def test_validate_then_trace_walks_once(self, monkeypatch):
         walks = count_face_walks(monkeypatch)
